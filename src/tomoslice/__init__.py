@@ -43,7 +43,6 @@ from .algfit import (
     AsymptoticReport,
     RootStructureReport,
     detect_min_m,
-    degree_bound_check,
     exponent_estimate,
     fit_power_polynomial,
     normalized_section_constant,
@@ -96,7 +95,6 @@ __all__ = [
     "centered_moment_identity_check",
     "fit_power_polynomial",
     "detect_min_m",
-    "degree_bound_check",
     "root_structure",
     "normalized_section_constant",
     "exponent_estimate",

@@ -41,7 +41,6 @@ __all__ = [
     "AsymptoticReport",
     "fit_power_polynomial",
     "detect_min_m",
-    "degree_bound_check",
     "root_structure",
     "normalized_section_constant",
     "exponent_estimate",
@@ -201,12 +200,6 @@ def detect_min_m(prof, m_max, tol=DEFAULT_ACCEPT_TOL):
     return None
 
 
-def degree_bound_check(report, n=None):
-    """True when the effective fitted degree respects the cap m*(n-1)."""
-    n = report.n if n is None else n
-    return _effective_degree(report.coefficients) <= report.m * (n - 1)
-
-
 def root_structure(report, h_plus, h_minus, conform_tol=CONFORM_TOL):
     """Score the endpoint-root factorization of a fitted power.
 
@@ -344,7 +337,7 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2), num_points=16):
             raise ValueError("window exceeds 0.1 of the chord width")
     depths = np.geomspace(lo, hi, num_points) * width
     t0 = t_hi
-    values = np.array([section_volume(body, d, t0 - dd) for dd in depths])
+    values = section_volume(body, d, t0 - depths)
     if np.any(values < 1e-300):
         raise ValueError("section values underflow inside the regression window")
     slope, intercept = np.polyfit(np.log(depths), np.log(values), 1)

@@ -519,6 +519,7 @@ _BODY_FIELDS = {
     "polytope": {"type", "vertices"},
     "paraboloid": {"type", "axes"},
     "hyperboloid": {"type", "axes", "c"},
+    HYPERBOLOID_SHEET: {"type", "axes", "c"},
 }
 
 

@@ -50,7 +50,7 @@ class ExperimentConfig:
     margin: float
     m_max: int
     tol: float
-    quad_order: int
+    quad_order: int | None
     directions: int
     seed: int
     format: str
@@ -269,7 +269,13 @@ def _build_parser():
         p.add_argument("--margin", type=float, default=0.02, help="relative margin trimmed per chord end")
         p.add_argument("--m-max", type=int, default=4, dest="m_max", help="largest power to try")
         p.add_argument("--tol", type=float, default=None, help="acceptance tolerance")
-        p.add_argument("--quad-order", type=int, default=64, dest="quad_order")
+        p.add_argument(
+            "--quad-order",
+            type=int,
+            default=None,
+            dest="quad_order",
+            help="quadrature nodes per piece (default: the exact order for each moment)",
+        )
         p.add_argument("--directions", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")

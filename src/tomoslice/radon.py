@@ -6,8 +6,10 @@ homogeneous polynomial of degree k.  This module computes the moments by
 quadrature and tests that polynomial structure by least squares over a
 direction sample; the residual is the diagnostic quantity.
 
-Moments are implemented for k <= 4; the verification pipeline only leans on
-k <= 2 (volume, center, quadratic form).
+Moments of any order k >= 0 come out exact up to roundoff: by default each
+rule gets the fewest nodes that integrate A(xi, t) t^k exactly, and all nodes
+of one moment are evaluated in a single section_volume call.  The
+verification pipeline only leans on k <= 2 (volume, center, quadratic form).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .bodies import (
 from .sections import SectionProfile, section_volume
 
 __all__ = [
-    "MAX_MOMENT_ORDER",
     "MomentReport",
     "CenteredMomentReport",
     "moment",
@@ -41,7 +42,6 @@ __all__ = [
     "monomial_design_matrix",
 ]
 
-MAX_MOMENT_ORDER = 4
 _RESIDUAL_GUARD = 1e-300
 
 
@@ -77,12 +77,23 @@ def _quadrature_rule_polytope(body, v, order):
     # then exact up to roundoff.
     s, w = roots_legendre(order)
     brk = _polytope_breakpoints(body, v)
-    nodes, weights = [], []
-    for lo, hi in zip(brk[:-1], brk[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * s)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    mid = 0.5 * (brk[:-1] + brk[1:])[:, None]
+    half = 0.5 * (brk[1:] - brk[:-1])[:, None]
+    return (mid + half * s).ravel(), (half * w).ravel()
+
+
+def _exact_quad_order(body, k):
+    """Fewest Gauss nodes (per piece for a polytope) that integrate
+    A(xi, t) t^k exactly.
+
+    On each polytope piece the integrand is a polynomial of degree n - 1 + k,
+    so Gauss-Legendre needs ceil((n + k) / 2) nodes.  For an ellipsoid the
+    Gauss-Jacobi weight absorbs A's (1 - s^2)^{(n-1)/2} factor and leaves t^k,
+    which needs ceil((k + 1) / 2) nodes.
+    """
+    if isinstance(body, Polytope):
+        return (body.n + k + 1) // 2
+    return k // 2 + 1
 
 
 def _clenshaw_curtis_weights(num):
@@ -107,17 +118,22 @@ def _clenshaw_curtis_weights(num):
     return w
 
 
-def moment(target, xi, k, quad_order=64):
+def moment(target, xi, k, quad_order=None):
     """k-th t-moment of the section profile along xi.
 
     ``target`` may be a bounded body (the exact section engine is integrated
     with a rule adapted to the body family) or a SectionProfile (integrated
     over its own grid with Clenshaw-Curtis weights, which are exact for the
     Chebyshev-Lobatto grids produced by :func:`tomoslice.sections.profile`).
+
+    ``quad_order=None`` picks the exact order for the body: ceil((n + k) / 2)
+    Gauss-Legendre nodes per polytope piece, ceil((k + 1) / 2) Gauss-Jacobi
+    nodes for an ellipsoid.  An explicit integer (at least 2) overrides it.
     """
-    if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order must lie in [0, {MAX_MOMENT_ORDER}]")
-    if quad_order < 2:
+    if k != int(k) or k < 0:
+        raise ValueError("moment order must be a non-negative integer")
+    k = int(k)
+    if quad_order is not None and quad_order < 2:
         raise ValueError("quad_order must be at least 2")
     if isinstance(target, SectionProfile):
         grid, values = target.grid, target.values
@@ -129,14 +145,17 @@ def moment(target, xi, k, quad_order=64):
         raise ValueError("direction dimension does not match the body")
     v = d.components
     if isinstance(target, Ellipsoid):
-        nodes, weights = _quadrature_rule_ellipsoid(target, v, quad_order)
+        rule = _quadrature_rule_ellipsoid
     elif isinstance(target, Polytope):
-        nodes, weights = _quadrature_rule_polytope(target, v, quad_order)
+        rule = _quadrature_rule_polytope
     elif isinstance(target, QuadricDomain):
         raise InfiniteSupportError("moments of an unbounded body diverge")
     else:
         raise TypeError(f"no moment rule for {type(target).__name__}")
-    values = np.array([section_volume(target, d, t) for t in nodes])
+    if quad_order is None:
+        quad_order = _exact_quad_order(target, k)
+    nodes, weights = rule(target, v, quad_order)
+    values = section_volume(target, d, nodes)
     return float(np.sum(weights * values * nodes**k))
 
 
@@ -176,7 +195,7 @@ class MomentReport:
     relative_residual: float
     absolute_residual: float
     seed: int
-    quad_order: int
+    quad_order: int  # the order actually used
 
     def to_dict(self):
         return {
@@ -200,12 +219,14 @@ class MomentReport:
         return "\n".join(lines) + "\n"
 
 
-def range_test(body, k, num_directions, seed=0, quad_order=64):
+def range_test(body, k, num_directions, seed=0, quad_order=None):
     """Fit M_k over a direction sample by a homogeneous degree-k polynomial.
 
     Directions come from the Fibonacci lattice for n = 3 and from a seeded
     uniform sample otherwise.  Requires at least twice as many directions as
     degree-k monomials; raises if the design matrix is rank deficient.
+    ``quad_order=None`` uses the exact order of :func:`moment`; the report
+    records the order actually used.
     """
     n = body.n
     exponents = homogeneous_exponents(n, k)
@@ -237,7 +258,7 @@ def range_test(body, k, num_directions, seed=0, quad_order=64):
         relative_residual=relative,
         absolute_residual=absolute,
         seed=seed,
-        quad_order=quad_order,
+        quad_order=_exact_quad_order(body, k) if quad_order is None else quad_order,
     )
 
 
@@ -262,7 +283,7 @@ class CenteredMomentReport:
         }
 
 
-def centered_moment_identity_check(body, seed=0, num_directions=50, tol=1e-8, quad_order=64):
+def centered_moment_identity_check(body, seed=0, num_directions=50, tol=1e-8, quad_order=None):
     """Check M_1(xi) = M_0 * (center.xi) across a direction sample.
 
     The first moment of a section profile is the integral of x.xi over the

@@ -4,8 +4,10 @@ Each body family has an exact engine, plus a seeded Monte Carlo slab oracle
 that estimates the same quantity from nothing but the membership test.  The
 oracle exists so the closed forms can be cross-validated instead of trusted.
 
-All engines return 0 outside the chord interval and satisfy
-A(xi, t) = A(-xi, -t) by construction.
+Every exact engine takes a scalar offset t or an array of them, through one
+code path: a scalar is an array of size 1 and comes back as a float.  All
+engines return 0 outside the chord interval, NaN for a NaN offset, and
+satisfy A(xi, t) = A(-xi, -t) by construction.
 """
 
 from __future__ import annotations
@@ -119,8 +121,22 @@ class SectionProfile:
         )
 
 
+def _offsets(t):
+    """Offsets t as a flat float array (a scalar becomes an array of size 1)
+    and the shape to hand the result back in."""
+    t = np.asarray(t, dtype=float)
+    return t.ravel(), t.shape
+
+
+def _shaped(values, ts, shape):
+    """Engine output in the caller's form: a float for a scalar offset, else an
+    array of the offsets' shape.  A NaN offset gives NaN in every family."""
+    values[np.isnan(ts)] = np.nan
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
 def section_volume_ellipsoid(body, xi, t):
-    """Exact section volume of an ellipsoid.
+    """Exact section volume of an ellipsoid, for a scalar or an array of offsets.
 
     For K = {(x-c)^T M (x-c) <= 1} and unit xi with hbar = sqrt(xi^T M^-1 xi),
 
@@ -137,50 +153,41 @@ def section_volume_ellipsoid(body, xi, t):
     if d.n != body.n:
         raise ValueError("direction dimension does not match the body")
     v = d.components
+    ts, shape = _offsets(t)
     hbar = body.centered_support(v)
-    tau = float(t) - float(body.center @ v)
-    gap = hbar * hbar - tau * tau
-    if gap <= 0.0:
-        return 0.0
+    tau = ts - float(body.center @ v)
+    gap = np.maximum(hbar * hbar - tau * tau, 0.0)
     n = body.n
-    return (
-        unit_ball_volume(n - 1)
-        / body._sqrt_det_shape
-        * hbar ** (-n)
-        * gap ** ((n - 1) / 2.0)
-    )
+    out = unit_ball_volume(n - 1) / body._sqrt_det_shape * hbar ** (-n) * gap ** ((n - 1) / 2.0)
+    return _shaped(out, ts, shape)
 
 
-def _segment_length(points, normal):
-    u = np.array([-normal[1], normal[0]])
-    proj = points @ u
-    return float(proj.max() - proj.min())
-
-
-def _polygon_area(points, normal):
-    # orthonormal in-plane frame
+def _plane_frame(normal):
+    """Orthonormal basis of the hyperplane normal to ``normal``, as columns."""
+    if normal.size == 2:
+        return np.array([[-normal[1]], [normal[0]]])
     k = int(np.argmin(np.abs(normal)))
     u = np.zeros(3)
     u[k] = 1.0
     u -= (u @ normal) * normal
     u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    centered = points - points.mean(axis=0)
-    xy = np.column_stack([centered @ u, centered @ v])
-    order = np.argsort(np.arctan2(xy[:, 1], xy[:, 0]))
-    xy = xy[order]
-    x, y = xy[:, 0], xy[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    a, b, c = normal
+    w = np.array([b * u[2] - c * u[1], c * u[0] - a * u[2], a * u[1] - b * u[0]])
+    return np.column_stack([u, w])
 
 
 def section_volume_polytope(body, xi, t):
-    """Exact section volume of a 2-d or 3-d polytope.
+    """Exact section volume of a 2-d or 3-d polytope, for a scalar or an array
+    of offsets.
 
-    Collects the crossings of the cutting plane with the hull edges (plus any
-    vertices lying exactly on the plane), then measures the segment length
-    (n = 2) or the polygon area in an in-plane frame via the shoelace formula
-    (n = 3).  A slice through a facet-parallel plane at the support value
-    degenerates to the facet itself and returns the facet's area.
+    The distinct vertex heights xi.v split the chord into pieces.  Inside one
+    piece the cutting plane crosses the same hull edges in the same cyclic
+    order, so both are found once per piece, at its midpoint.  Each crossing
+    point moves linearly in t, and the section is the segment between the two
+    crossings (n = 2) or the polygon through them, measured by the shoelace
+    formula in an in-plane frame (n = 3).  An offset on a breakpoint uses the
+    piece it closes; that limit is continuous, and a facet-parallel slice at
+    the support value returns the facet's area.
     """
     if not isinstance(body, Polytope):
         raise TypeError("section_volume_polytope expects a Polytope")
@@ -188,27 +195,62 @@ def section_volume_polytope(body, xi, t):
     if d.n != body.n:
         raise ValueError("direction dimension does not match the body")
     v = d.components
-    s = body.vertices @ v - float(t)
-    pts = [body.vertices[i] for i in np.nonzero(s == 0.0)[0]]
-    for i, j in body.edges:
-        si, sj = s[i], s[j]
-        if si * sj < 0.0:
-            lam = si / (si - sj)
-            pts.append(body.vertices[i] + lam * (body.vertices[j] - body.vertices[i]))
-    if len(pts) < 2:
-        return 0.0
-    pts = np.unique(np.asarray(pts, dtype=float), axis=0)
+    h = body.vertices @ v
+    coords = body.vertices @ _plane_frame(v)
+    brk = np.sort(h)
+    brk = brk[np.concatenate(([True], np.diff(brk) > 0.0))]
+    rank = np.searchsorted(brk, h)
+    # orient every edge upward and keep those that span at least one piece
+    edges = np.asarray(body.edges)
+    up = h[edges[:, 0]] <= h[edges[:, 1]]
+    lo = np.where(up, edges[:, 0], edges[:, 1])
+    hi = np.where(up, edges[:, 1], edges[:, 0])
+    spans = rank[lo] < rank[hi]
+    lo, hi = lo[spans], hi[spans]
+    rise = h[hi] - h[lo]
+    run = coords[hi] - coords[lo]
+    piece_ids = np.arange(brk.size - 1)[:, None]
+    crossed = (rank[lo] <= piece_ids) & (piece_ids < rank[hi])  # (pieces, edges)
+
+    # the crossing point of every edge at every piece midpoint
+    mid = 0.5 * (brk[:-1] + brk[1:])
+    at_mid = coords[lo] + ((mid[:, None] - h[lo]) / rise)[..., None] * run
+    count = crossed.sum(axis=1)
+    center = (at_mid * crossed[..., None]).sum(axis=1) / count[:, None]
     if body.n == 2:
-        if pts.shape[0] < 2:
-            return 0.0
-        return _segment_length(pts, v)
-    if pts.shape[0] < 3:
-        return 0.0
-    return _polygon_area(pts, v)
+        order = np.argsort(~crossed, axis=1, kind="stable")[:, :2]
+    else:
+        rel = at_mid - center[:, None, :]
+        angle = np.where(crossed, np.arctan2(rel[..., 1], rel[..., 0]), np.inf)
+        order = np.argsort(angle, axis=1)[:, : count.max()]
+        # pad short cycles with their first edge: the padding adds zero area
+        order = np.where(np.arange(order.shape[1]) < count[:, None], order, order[:, :1])
+
+    ts, shape = _offsets(t)
+    out = np.zeros(ts.size)
+    inside = (ts >= brk[0]) & (ts <= brk[-1])
+    s = ts[inside]
+    piece = np.clip(np.searchsorted(brk, s) - 1, 0, brk.size - 2)
+    e = order[piece]
+    lam = (s[:, None] - h[lo[e]]) / rise[e]
+    x = coords[lo[e], 0] + lam * run[e, 0] - center[piece, 0, None]
+    if body.n == 2:
+        out[inside] = np.abs(x[:, 0] - x[:, 1])
+        return _shaped(out, ts, shape)
+    y = coords[lo[e], 1] + lam * run[e, 1] - center[piece, 1, None]
+    # shoelace, accumulated column by column so that every offset's value is
+    # independent of how many offsets share the call
+    twice_area = np.zeros(s.size)
+    for c in range(e.shape[1]):
+        c1 = (c + 1) % e.shape[1]
+        twice_area += x[:, c] * y[:, c1] - x[:, c1] * y[:, c]
+    out[inside] = 0.5 * np.abs(twice_area)
+    return _shaped(out, ts, shape)
 
 
 def section_volume_quadric(body, xi, t):
-    """Exact section volume of a paraboloid epigraph or hyperboloid sheet.
+    """Exact section volume of a paraboloid epigraph or hyperboloid sheet, for a
+    scalar or an array of offsets.
 
     Works by eliminating x_n on the cutting plane and completing the square,
     which reduces the slice to an (n-1)-ellipsoid in the transverse variables;
@@ -223,7 +265,7 @@ def section_volume_quadric(body, xi, t):
         raise ValueError("direction dimension does not match the body")
     v = d.components
     vp, vn = v[:-1], v[-1]
-    t = float(t)
+    ts, shape = _offsets(t)
     n = body.n
     a = body.axes
     if body.kind == PARABOLOID:
@@ -231,38 +273,37 @@ def section_volume_quadric(body, xi, t):
             raise UnboundedSliceError("slice parallel to the paraboloid axis is unbounded")
         alpha = abs(vn)
         sgn = math.copysign(1.0, vn)
-        r = sgn * t + float(np.sum(vp**2 * a**2)) / (4.0 * alpha)
-        if r <= 0.0:
-            return 0.0
-        return (
+        r = np.maximum(sgn * ts + float(np.sum(vp**2 * a**2)) / (4.0 * alpha), 0.0)
+        out = (
             unit_ball_volume(n - 1)
             * float(np.prod(a))
             * (r / alpha) ** ((n - 1) / 2.0)
             / alpha
         )
+        return _shaped(out, ts, shape)
     c = body.c
     if vn == 0.0 or c**2 * vn**2 <= float(np.sum(a**2 * vp**2)):
         raise UnboundedSliceError("slice direction outside the hyperboloid's bounded-slice cone")
     B = np.diag(c**2 * vn**2 / a**2) - np.outer(vp, vp)
-    Binv_vp = np.linalg.solve(B, vp)
-    rho2 = t * t - c**2 * vn**2 + t * t * float(vp @ Binv_vp)
-    if rho2 <= 0.0:
-        return 0.0
-    x0 = -t * Binv_vp
-    if math.copysign(1.0, t - float(vp @ x0)) != math.copysign(1.0, vn):
-        # the plane only meets the mirror sheet, which is not part of the body
-        return 0.0
+    q = float(vp @ np.linalg.solve(B, vp))
+    rho2 = np.maximum(ts * ts - c**2 * vn**2 + ts * ts * q, 0.0)
     det_B = float(np.linalg.det(B))
-    return (
+    out = (
         unit_ball_volume(n - 1)
         * rho2 ** ((n - 1) / 2.0)
         / math.sqrt(det_B)
         / abs(vn)
     )
+    # the slice center x0 = -t B^-1 vp sits at height t - vp.x0 = t (1 + q)
+    # with q >= 0; where that has the opposite sign to xi_n the plane only
+    # meets the mirror sheet, which is not part of the body
+    out[np.copysign(1.0, ts) != math.copysign(1.0, vn)] = 0.0
+    return _shaped(out, ts, shape)
 
 
 def section_volume(body, xi, t):
-    """Exact section volume, dispatching on the body family."""
+    """Exact section volume at a scalar or an array of offsets, dispatching on
+    the body family."""
     if isinstance(body, Ellipsoid):
         return section_volume_ellipsoid(body, xi, t)
     if isinstance(body, Polytope):
@@ -396,7 +437,7 @@ def profile(
     width = t_hi - t_lo
     grid = lobatto_grid(t_lo, t_hi, num_points)
     if method == EXACT:
-        values = np.array([section_volume(body, d, t) for t in grid])
+        values = section_volume(body, d, grid)
         return SectionProfile(d, grid, values, body.n, EXACT)
     if method != MONTE_CARLO:
         raise ValueError(f"unknown profile method {method!r}")

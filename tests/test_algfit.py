@@ -15,7 +15,6 @@ from tomoslice.bodies import (
 )
 from tomoslice.algfit import (
     AlgebraicFitReport,
-    degree_bound_check,
     detect_min_m,
     exponent_estimate,
     fit_power_polynomial,
@@ -86,7 +85,7 @@ def test_effective_degree_equals_bound():
         body, d, prof = ellipsoid_profile(n, seed=100 * n + m)
         rep = fit_power_polynomial(prof, m, m * (n - 1) + 3)
         assert rep.effective_degree == m * (n - 1)
-        assert degree_bound_check(rep)
+        assert rep.degree_bound_ok
 
 
 def test_fit_residual_monotone_in_degree():

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +256,28 @@ def test_body_json_rejects_unknown_and_missing_keys():
         body_from_dict({"type": "ellipsoid", "center": [0, 0]})
     with pytest.raises(ValueError, match="type"):
         body_from_dict({"type": "torus"})
+
+
+def test_readme_body_examples_load():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.strip()]
+    kinds = set()
+    for line in lines:
+        obj = json.loads(line)
+        body = body_from_dict(obj)
+        kinds.add(obj["type"])
+        assert body_from_dict(body_to_dict(body)).n == body.n
+    assert kinds == {"ellipsoid", "polytope", "paraboloid", "hyperboloid-sheet"}
+
+
+def test_hyperboloid_type_names_load_the_same_body():
+    obj = {"type": "hyperboloid-sheet", "axes": [1.0, 1.5], "c": 0.8}
+    body = body_from_dict(obj)
+    assert body.kind == "hyperboloid-sheet"
+    # the written name stays the short one, so saved reports do not change
+    assert body_to_dict(body) == {**obj, "type": "hyperboloid"}
+    assert body_from_dict(body_to_dict(body)).c == body.c
 
 
 def test_unit_ball_volumes():

@@ -71,6 +71,24 @@ def test_moments_report(body_dir):
             assert res < 1e-8
 
 
+def test_moments_quad_order_default_and_override(body_dir):
+    out = body_dir / "mom_cube.json"
+    code = run_cli(["moments", "--body", body_dir / "cube.json", "--directions", "20", "--out", out])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    # null in the config means "exact order"; each report records the order used
+    assert rep["config"]["quad_order"] is None
+    assert [r["quad_order"] for r in rep["reports"]] == [2, 2, 3]
+    for r in rep["reports"]:
+        assert r["relative_residual"] is None or r["relative_residual"] < 1e-12
+    code = run_cli(["moments", "--body", body_dir / "cube.json", "--directions", "20",
+                    "--quad-order", "6", "--out", out])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["config"]["quad_order"] == 6
+    assert [r["quad_order"] for r in rep["reports"]] == [6, 6, 6]
+
+
 def test_algfit_accepts_ellipsoid(body_dir):
     out = body_dir / "alg.json"
     code = run_cli(["algfit", "--body", body_dir / "ell.json", "--xi", "0.3,-0.2,0.9",

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 from scipy.special import beta as beta_fn
+
+import tomoslice.radon as radon_module
 
 from tomoslice.bodies import (
     Direction,
@@ -11,6 +14,8 @@ from tomoslice.bodies import (
     QuadricDomain,
     InfiniteSupportError,
     random_ellipsoid,
+    random_rotation,
+    random_simplex,
     sample_directions,
     unit_ball_volume,
 )
@@ -171,3 +176,102 @@ def test_moment_report_serialization():
     assert len(d["fit_coefficients"]) == 6
     csv = report.to_csv()
     assert csv.splitlines()[0] == "xi_1,xi_2,xi_3,M_2"
+
+
+# exact polytope moments against the closed-form simplex moment
+
+
+def complete_homogeneous(values, k):
+    """h_k(values), the sum of all degree-k monomials, by adding one variable
+    at a time: h_j(x_1..x_m) = h_j(x_1..x_{m-1}) + x_m h_{j-1}(x_1..x_m)."""
+    h = [1.0] + [0.0] * k
+    for x in values:
+        for j in range(1, k + 1):
+            h[j] += x * h[j - 1]
+    return h[k]
+
+
+def simplex_formula_moment(vertices, xi, k):
+    """Integral of (xi.x)^k over the hull of ``vertices``: the closed form
+    vol(S) k! n! / (n+k)! h_k(xi.v_0, ..., xi.v_n) for a simplex S (Baldoni,
+    Berline, De Loera, Koeppe, Vergne, Math. Comp. 2011), summed over the
+    cone from the centroid to each hull facet.  Uses no section volume."""
+    V = np.asarray(vertices, dtype=float)
+    n = V.shape[1]
+    apex = V.mean(axis=0)
+    coef = math.factorial(k) * math.factorial(n) / math.factorial(n + k)
+    total = 0.0
+    for facet in ConvexHull(V).simplices:
+        P = np.vstack([apex, V[facet]])
+        vol = abs(np.linalg.det(P[1:] - P[0])) / math.factorial(n)
+        total += vol * coef * complete_homogeneous(P @ xi, k)
+    return total
+
+
+def _simplex_formula_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in (2, 3):
+        for seed in range(4):
+            cases.append((random_simplex(n, seed=seed), Direction.from_vector(rng.standard_normal(n))))
+        cube = Polytope.cube(n)
+        for seed in range(3):
+            moved = cube.rotated(random_rotation(n, seed=seed)).translated(rng.uniform(-0.6, 0.6, n))
+            cases.append((moved, Direction.from_vector(rng.standard_normal(n))))
+    # aligned directions, where several vertices share a height
+    for v in ([0, 0, 1], [1, 1, 0], [1, 1, 1], [1, -1, 0]):
+        cases.append((Polytope.cube(3), Direction.from_vector(v)))
+    for v in ([1, 0], [1, 1]):
+        cases.append((Polytope.cube(2), Direction.from_vector(v)))
+    R = random_rotation(3, seed=9)
+    cases.append((Polytope.cube(3).rotated(R).translated([0.3, 0.1, -0.2]), Direction.from_vector(R @ [0, 0, 1])))
+    cases.append((Polytope.cube(3, half=0.5).translated([0.5, 0.5, 0.5]), E3))
+    return cases
+
+
+def test_polytope_moments_match_simplex_formula():
+    for body, d in _simplex_formula_cases():
+        heights = np.abs(body.vertices @ d.components)
+        volume = simplex_formula_moment(body.vertices, d.components, 0)
+        for k in range(7):
+            want = simplex_formula_moment(body.vertices, d.components, k)
+            got = moment(body, d, k)
+            # odd moments of centered bodies vanish; judge them on the body's scale
+            scale = max(abs(want), volume * heights.max() ** k)
+            assert abs(got - want) <= 1e-12 * scale, (body.vertices.tolist(), d, k, got, want)
+
+
+def test_generic_cube_moment_makes_one_section_call(monkeypatch):
+    calls = []
+    real = radon_module.section_volume
+
+    def counting(body, xi, t):
+        calls.append(np.size(t))
+        return real(body, xi, t)
+
+    monkeypatch.setattr(radon_module, "section_volume", counting)
+    cube = Polytope.cube(3).rotated(random_rotation(3, seed=7)).translated([0.1, -0.2, 0.3])
+    moment(cube, Direction.from_vector([0.3, -0.5, 0.8]), 2)
+    # 8 distinct vertex heights -> 7 pieces, 3 Gauss-Legendre nodes each
+    assert calls == [21]
+
+
+def test_moment_order_must_be_a_nonnegative_integer():
+    cube = Polytope.cube(3)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            moment(cube, E3, bad)
+    # no cap on k: int_{-1}^{1} 4 t^10 dt = 8/11
+    assert moment(cube, E3, 10) == pytest.approx(8.0 / 11.0, rel=1e-13)
+    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
+    assert moment(ball, E3, 8) == pytest.approx(closed_moment(ball, [0, 0, 1], 8), rel=1e-12)
+
+
+def test_report_records_the_order_used():
+    cube = Polytope.cube(3)
+    ell = random_ellipsoid(3, seed=4)
+    assert [range_test(cube, k, 40).quad_order for k in (0, 1, 2)] == [2, 2, 3]
+    assert [range_test(ell, k, 40).quad_order for k in (0, 1, 2)] == [1, 1, 2]
+    explicit = range_test(cube, 2, 40, quad_order=5)
+    assert explicit.quad_order == 5
+    assert np.allclose(explicit.moments, range_test(cube, 2, 40).moments, rtol=1e-13, atol=0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tomoslice.sections as sections_module
 from tomoslice.bodies import (
     Direction,
     Ellipsoid,
@@ -315,3 +316,90 @@ def test_profile_round_trip_and_csv():
     text = prof.to_csv()
     assert text.splitlines()[0] == "t,A"
     assert len(text.splitlines()) == 17
+
+
+# array offsets and non-finite offsets
+
+
+def _family_cases():
+    """(body, direction, offsets) per family, with chord ends, vertex heights,
+    offsets outside the chord and NaN among the offsets."""
+    cases = []
+    rot = random_rotation(3, seed=2)
+    polytopes = [
+        (Polytope.cube(3), unit([0, 0, 1])),
+        (Polytope.cube(3), unit([1, 1, 0])),
+        (Polytope.cube(3), unit([1, 1, 1])),
+        (Polytope.cube(3).rotated(rot).translated([0.2, -0.1, 0.4]), unit([0.3, -0.5, 0.8])),
+        (random_simplex(3, seed=5), unit([0.6, 0.2, -0.7])),
+        (Polytope.cube(2), unit([1, 0])),
+        (Polytope.cube(2), unit([1, 1])),
+        (random_simplex(2, seed=3), unit([0.4, -0.9])),
+    ]
+    for body, d in polytopes:
+        h = body.vertices @ d.components
+        lo, hi = h.min(), h.max()
+        inner = np.linspace(lo, hi, 13)
+        cases.append((body, d, np.concatenate([h, inner, [lo - 0.5, hi + 0.5, np.nan, np.inf]])))
+    for n in (2, 3, 4):
+        body = random_ellipsoid(n, seed=n)
+        d = Direction.from_vector(np.arange(1.0, n + 1.0))
+        lo, hi = chord_interval(body, d)
+        cases.append((body, d, np.concatenate([np.linspace(lo, hi, 11), [lo - 1.0, hi + 1.0, np.nan]])))
+    par = QuadricDomain("paraboloid", np.array([1.0, 2.0]))
+    cases.append((par, unit([0.3, -0.2, -0.9]), np.array([-6.0, -2.5, -0.1, 0.0, 0.2, 3.0, np.nan])))
+    hyp = QuadricDomain("hyperboloid-sheet", np.array([1.0, 1.5]), 0.8)
+    cases.append((hyp, unit([0.1, 0.2, 0.9]), np.array([-3.0, -0.5, 0.0, 0.5, 0.7, 2.0, 6.0, np.nan])))
+    return cases
+
+
+def test_array_offsets_match_scalar_calls_exactly():
+    for body, d, ts in _family_cases():
+        batch = section_volume(body, d, ts)
+        assert isinstance(batch, np.ndarray) and batch.shape == ts.shape
+        single = [section_volume(body, d, t) for t in ts]
+        assert all(type(a) is float for a in single)
+        assert np.array_equal(batch, np.array(single), equal_nan=True), type(body).__name__
+        grid = section_volume(body, d, ts.reshape(-1, 1))
+        assert grid.shape == (ts.size, 1)
+        assert np.array_equal(grid.ravel(), batch, equal_nan=True)
+
+
+def test_nan_offset_gives_nan_in_every_family():
+    engines = {
+        Ellipsoid: section_volume_ellipsoid,
+        Polytope: section_volume_polytope,
+        QuadricDomain: section_volume_quadric,
+    }
+    seen = set()
+    for body, d, _ in _family_cases():
+        engine = engines[type(body)]
+        assert math.isnan(engine(body, d, math.nan))
+        both = engine(body, d, np.array([np.nan, np.nan]))
+        assert np.all(np.isnan(both))
+        seen.add(type(body))
+    assert seen == set(engines)
+
+
+def test_polytope_chord_ends_and_outside():
+    cube = Polytope.cube(3)
+    d = unit([1, 1, 1])
+    lo, hi = chord_interval(cube, d)
+    vals = section_volume(cube, d, np.array([lo - 1e-9, lo, hi, hi + 1e-9]))
+    assert vals.tolist() == [0.0, 0.0, 0.0, 0.0]
+    # facet-parallel slices at both chord ends give the facet, even in a batch
+    ends = section_volume(cube, E3, np.array([-1.0, 1.0]))
+    assert ends == pytest.approx([4.0, 4.0], abs=1e-12)
+
+
+def test_profile_makes_one_section_call(monkeypatch):
+    calls = []
+    real = sections_module.section_volume
+
+    def counting(body, xi, t):
+        calls.append(np.size(t))
+        return real(body, xi, t)
+
+    monkeypatch.setattr(sections_module, "section_volume", counting)
+    profile(Polytope.cube(3), unit([0.3, -0.5, 0.8]), num_points=64)
+    assert calls == [64]
