@@ -263,16 +263,19 @@ def normalized_section_constant(body, xi, t=None):
     """
     d = as_direction(xi)
     t_lo, t_hi = chord_interval(body, d)
-    h_plus, h_minus = t_hi, -t_lo
     if t is None:
         t = 0.5 * (t_lo + t_hi)
     t = float(t)
-    base = (h_plus - t) * (h_minus + t)
-    if base <= 0.0:
+    if not t_lo < t < t_hi:
         raise ValueError("evaluation point must lie strictly inside the chord interval")
-    n = body.n
-    a_val = section_volume(body, d, t)
-    half_chord = 0.5 * (h_plus + h_minus)
+    return normalized_constant_from_value(section_volume(body, d, t), t, t_lo, t_hi, body.n)
+
+
+def normalized_constant_from_value(a_val, t, t_lo, t_hi, n):
+    """The normalized section constant from one section value a_val = A(xi, t)
+    at an offset t inside the chord [t_lo, t_hi]."""
+    base = (t_hi - t) * (t - t_lo)
+    half_chord = 0.5 * (t_hi - t_lo)
     return a_val * base ** (-(n - 1) / 2.0) * half_chord**n
 
 

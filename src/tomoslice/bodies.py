@@ -8,6 +8,10 @@ convex model surfaces: the epigraph of an elliptic paraboloid and the convex
 region bounded by one sheet of a two-sheet elliptic hyperboloid.  Unbounded
 bodies report an infinite support value for directions outside their dual cone
 instead of raising, so callers can filter directions.
+
+Every ``support`` takes one direction, an array of shape (n,), and returns a
+float, or a stack of directions, an array of shape (m, n), and returns an
+array of m values.  There is one code path: the formulas act on the last axis.
 """
 
 from __future__ import annotations
@@ -125,6 +129,7 @@ class Ellipsoid:
     center: np.ndarray
     shape: np.ndarray
     _shape_inv: np.ndarray = field(init=False, repr=False)
+    _shape_inv_factor: np.ndarray = field(init=False, repr=False)
     _sqrt_det_shape: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -134,6 +139,10 @@ class Ellipsoid:
             raise ValueError("center must be a vector of dimension >= 2")
         if M.shape != (c.size, c.size):
             raise ValueError("shape matrix must be square and match the center dimension")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("center must be finite")
+        if not np.all(np.isfinite(M)):
+            raise ValueError("shape matrix must be finite")
         if np.max(np.abs(M - M.T)) > _SYM_TOL:
             raise ValueError("shape matrix must be symmetric within 1e-12")
         try:
@@ -144,8 +153,11 @@ class Ellipsoid:
         object.__setattr__(self, "center", c.copy())
         object.__setattr__(self, "shape", 0.5 * (M + M.T))
         object.__setattr__(self, "_shape_inv", 0.5 * (inv + inv.T))
+        # M = C C^T gives M^-1 = F F^T with F = C^-T, so v^T M^-1 v = |v F|^2
+        # is a sum of squares
+        object.__setattr__(self, "_shape_inv_factor", np.linalg.inv(chol).T)
         object.__setattr__(self, "_sqrt_det_shape", float(np.prod(np.diag(chol))))
-        for arr in (self.center, self.shape, self._shape_inv):
+        for arr in (self.center, self.shape, self._shape_inv, self._shape_inv_factor):
             arr.setflags(write=False)
 
     @classmethod
@@ -168,14 +180,21 @@ class Ellipsoid:
 
     def support(self, v):
         """Support value sup_{x in K} x.v for an arbitrary (not necessarily
-        unit) vector v; positively homogeneous in v."""
+        unit) vector v, or for each row of an (m, n) array; positively
+        homogeneous in v."""
+        # ndarray.dot rather than @: for one vector it skips matmul's
+        # generalized-ufunc overhead, which dominates at this size
         v = np.asarray(v, dtype=float)
-        return float(self.center @ v + math.sqrt(max(v @ self._shape_inv @ v, 0.0)))
+        w = v.dot(self._shape_inv_factor)
+        h = v.dot(self.center) + np.sqrt(np.vecdot(w, w))
+        return float(h) if v.ndim == 1 else h
 
     def centered_support(self, v):
-        """Support of the translate centered at the origin, sqrt(v^T M^-1 v)."""
-        v = np.asarray(v, dtype=float)
-        return float(math.sqrt(max(v @ self._shape_inv @ v, 0.0)))
+        """Support of the translate centered at the origin, sqrt(v^T M^-1 v),
+        for one vector (a float) or each row of an (m, n) array."""
+        w = np.asarray(v, dtype=float).dot(self._shape_inv_factor)
+        h = np.sqrt(np.vecdot(w, w))
+        return float(h) if w.ndim == 1 else h
 
     def argmax_support(self, v):
         """Boundary point where x.v attains the support value."""
@@ -249,6 +268,8 @@ class Polytope:
         V = np.asarray(self.vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] not in (2, 3):
             raise ValueError("vertices must be an (m, n) array with n in {2, 3}")
+        if not np.all(np.isfinite(V)):
+            raise ValueError("vertices must be finite")
         n = V.shape[1]
         if V.shape[0] < n + 1:
             raise ValueError("need at least n + 1 vertices")
@@ -306,8 +327,10 @@ class Polytope:
         return self._edges
 
     def support(self, v):
-        v = np.asarray(v, dtype=float)
-        return float(np.max(self.vertices @ v))
+        """Largest vertex height along v, for one vector (a float) or each
+        row of an (m, n) array."""
+        h = np.asarray(v, dtype=float).dot(self.vertices.T).max(axis=-1)
+        return float(h) if h.ndim == 0 else h
 
     def argmax_support(self, v):
         v = np.asarray(v, dtype=float)
@@ -363,11 +386,11 @@ class QuadricDomain:
         if self.kind not in (PARABOLOID, HYPERBOLOID_SHEET):
             raise ValueError(f"unknown quadric kind {self.kind!r}")
         a = np.asarray(self.axes, dtype=float)
-        if a.ndim != 1 or a.size < 1 or np.any(a <= 0):
-            raise ValueError("axes must be a vector of positive semi-axis lengths")
+        if a.ndim != 1 or a.size < 1 or not np.all(np.isfinite(a) & (a > 0)):
+            raise ValueError("axes must be a vector of finite, positive semi-axis lengths")
         if self.kind == HYPERBOLOID_SHEET:
-            if self.c is None or not self.c > 0:
-                raise ValueError("hyperboloid sheet needs a positive apex height c")
+            if self.c is None or not 0 < self.c < math.inf:
+                raise ValueError("hyperboloid sheet needs a finite, positive apex height c")
             object.__setattr__(self, "c", float(self.c))
         elif self.c is not None:
             raise ValueError("paraboloid does not take a c parameter")
@@ -379,18 +402,22 @@ class QuadricDomain:
         return self.axes.size + 1
 
     def support(self, v):
-        """Support value; returns +inf for directions with unbounded linear
-        functional (the caller is expected to filter, not to catch)."""
+        """Support value for one vector (a float) or each row of an (m, n)
+        array; +inf for directions with unbounded linear functional (the
+        caller is expected to filter, not to catch)."""
         v = np.asarray(v, dtype=float)
-        vp, vn = v[:-1], v[-1]
+        vn = v[..., -1]
+        rho2 = (v[..., :-1] ** 2).dot(self.axes**2)
         if self.kind == PARABOLOID:
-            if vn >= 0.0:
-                return math.inf
-            return float(np.sum(vp**2 * self.axes**2) / (4.0 * abs(vn)))
-        rho2 = float(np.sum(self.axes**2 * vp**2))
-        if vn >= 0.0 or self.c**2 * vn**2 < rho2:
-            return math.inf
-        return -math.sqrt(self.c**2 * vn**2 - rho2)
+            unbounded = vn >= 0.0
+            # a stand-in divisor on unbounded rows, whose value becomes inf below
+            h = rho2 / (-4.0 * np.where(unbounded, -1.0, vn))
+        else:
+            gap = self.c**2 * vn**2 - rho2
+            unbounded = (vn >= 0.0) | (gap < 0.0)
+            h = -np.sqrt(np.maximum(gap, 0.0))
+        h = np.where(unbounded, math.inf, h)
+        return float(h) if v.ndim == 1 else h
 
     def argmax_support(self, v):
         v = np.asarray(v, dtype=float)
@@ -563,11 +590,15 @@ def body_to_dict(body):
     raise TypeError(f"unsupported body {type(body).__name__}")
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
 def load_body(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            obj = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:
             raise ValueError(f"malformed body JSON in {Path(path).name}: {exc}") from exc
     return body_from_dict(obj)
 

@@ -11,9 +11,9 @@ report embeds the fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -54,21 +54,7 @@ class ExperimentConfig:
     directions: int
     seed: int
     format: str
-    threads: int
     window: list | None = None
-
-
-def _threads_from_env():
-    raw = os.environ.get("TOMOSLICE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"TOMOSLICE_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"TOMOSLICE_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _parse_xi(text, n):
@@ -255,8 +241,33 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ValueError, so they exit with EXIT_ERROR like
+    every other bad input instead of argparse's SystemExit(2)."""
+
+    def error(self, message):
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+# options whose value may start with "-", as in --xi -1,0,0
+_SIGNED_VALUE_OPTIONS = ("--xi", "--window")
+
+
+def _bind_signed_values(argv):
+    """Rewrite ``--xi -1,0,0`` as ``--xi=-1,0,0``: argparse would otherwise
+    read a value such as -1,0,0 as an unknown option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+@functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tomoslice",
         description="Section volume profiles of convex bodies and their algebraic structure.",
     )
@@ -295,8 +306,8 @@ _DEFAULT_TOL = {
 
 
 def run(argv=None):
-    args = _build_parser().parse_args(argv)
-    threads = _threads_from_env()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_bind_signed_values(argv))
     body = load_body(args.body)
     handler, needs_xi = _COMMANDS[args.command]
     xi = None
@@ -323,7 +334,6 @@ def run(argv=None):
         directions=args.directions,
         seed=args.seed,
         format=args.format,
-        threads=threads,
         window=window,
     )
     text, code = handler(body, xi, config)

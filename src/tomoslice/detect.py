@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Direction, Ellipsoid, as_direction, chord_interval, sample_directions
-from .algfit import normalized_section_constant
+from .bodies import Direction, Ellipsoid, InfiniteSupportError, sample_directions
+from .algfit import normalized_constant_from_value
 from .sections import section_volume
 
 __all__ = [
@@ -61,7 +61,7 @@ def estimate_e(body, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     dirs = _direction_set(n, num_directions, seed)
     if np.linalg.matrix_rank(dirs) < n:
         raise ValueError("direction set is rank deficient")
-    odd = np.array([body.support(d) - body.support(-d) for d in dirs])
+    odd = body.support(dirs) - body.support(-dirs)
     e, *_ = np.linalg.lstsq(dirs, odd, rcond=None)
     resid = float(np.linalg.norm(dirs @ e - odd))
     rel = resid / max(float(np.linalg.norm(odd)), _RESIDUAL_GUARD)
@@ -81,7 +81,7 @@ def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
         raise ValueError(f"need at least {2 * n_params} directions in dimension {n}")
     e = np.asarray(e, dtype=float)
     dirs = _direction_set(n, num_directions, seed)
-    H = np.array([body.support(d) - 0.5 * e @ d for d in dirs])
+    H = body.support(dirs) - 0.5 * dirs @ e
     y = H**2
     cols = []
     index = []
@@ -208,23 +208,35 @@ def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=
     recovered = report.recovered_body()
     n = body.n
     rng = np.random.Generator(np.random.Philox(seed))
-    max_err = 0.0
-    constants = []
-    for _ in range(num_probes):
+    # the draws keep their order (direction, then offset fraction), so the
+    # probes are those of a loop that looks up each chord before drawing t
+    dirs = np.empty((num_probes, n))
+    fracs = np.empty(num_probes)
+    for i in range(num_probes):
         g = rng.standard_normal(n)
-        d = Direction(g / np.linalg.norm(g))
-        t_lo, t_hi = chord_interval(body, d)
-        width = t_hi - t_lo
-        t = rng.uniform(t_lo + 0.1 * width, t_hi - 0.1 * width)
-        a_in = section_volume(body, d, t)
-        a_rec = section_volume(recovered, d, t)
+        dirs[i] = g / np.linalg.norm(g)
+        fracs[i] = rng.random()
+    t_hi = body.support(dirs)
+    t_lo = -body.support(-dirs)
+    if not (np.all(np.isfinite(t_hi)) and np.all(np.isfinite(t_lo))):
+        raise InfiniteSupportError("chord interval undefined: support is infinite along a probe normal")
+    width = t_hi - t_lo
+    lo, hi = t_lo + 0.1 * width, t_hi - 0.1 * width
+    # the map numpy's uniform(lo, hi) applies to one random() draw
+    ts = lo + (hi - lo) * fracs
+    mids = 0.5 * (t_lo + t_hi)
+    max_err = 0.0
+    constants = np.empty(num_probes)
+    for i in range(num_probes):
+        d = Direction(dirs[i])
+        a_in, a_mid = section_volume(body, d, [ts[i], mids[i]])
+        a_rec = section_volume(recovered, d, ts[i])
         err = abs(a_rec - a_in) / max(abs(a_in), _RESIDUAL_GUARD)
         max_err = max(max_err, err)
-        constants.append(normalized_section_constant(body, d))
-    constants = np.asarray(constants)
+        constants[i] = normalized_constant_from_value(a_mid, mids[i], t_lo[i], t_hi[i], n)
     spread = float(constants.max() - constants.min()) / max(abs(float(constants.mean())), _RESIDUAL_GUARD)
     if spread > constant_tol:
         raise SectionConstantError(
             f"normalized section coefficient varies across directions (spread {spread:.3e})"
         )
-    return max_err
+    return float(max_err)

@@ -128,13 +128,13 @@ def moment(target, xi, k, quad_order=None):
 
     ``quad_order=None`` picks the exact order for the body: ceil((n + k) / 2)
     Gauss-Legendre nodes per polytope piece, ceil((k + 1) / 2) Gauss-Jacobi
-    nodes for an ellipsoid.  An explicit integer (at least 2) overrides it.
+    nodes for an ellipsoid.  An explicit positive integer overrides it.
     """
     if k != int(k) or k < 0:
         raise ValueError("moment order must be a non-negative integer")
     k = int(k)
-    if quad_order is not None and quad_order < 2:
-        raise ValueError("quad_order must be at least 2")
+    if quad_order is not None and (quad_order != int(quad_order) or quad_order < 1):
+        raise ValueError("quad_order must be a positive integer")
     if isinstance(target, SectionProfile):
         grid, values = target.grid, target.values
         half = 0.5 * (grid[-1] - grid[0])

@@ -21,7 +21,9 @@ from tomoslice.bodies import (
     chord_interval,
     contains,
     fibonacci_sphere,
+    load_body,
     random_ellipsoid,
+    random_rotation,
     random_simplex,
     sample_directions,
     support,
@@ -220,6 +222,72 @@ def test_polytope_validation():
         )
     with pytest.raises(ValueError):
         Polytope(np.random.default_rng(0).standard_normal((5, 4)))  # dimension 4
+
+
+def test_ellipsoid_rejects_non_finite_center_and_shape():
+    with pytest.raises(ValueError, match="center"):
+        Ellipsoid([np.nan, 0.0], np.eye(2))
+    with pytest.raises(ValueError, match="center"):
+        Ellipsoid([np.inf, 0.0], np.eye(2))
+    with pytest.raises(ValueError, match="shape"):
+        Ellipsoid([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="shape"):
+        Ellipsoid([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_quadric_rejects_non_finite_axes_and_apex():
+    with pytest.raises(ValueError, match="axes"):
+        QuadricDomain("paraboloid", np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="apex height c"):
+        QuadricDomain("hyperboloid-sheet", np.array([1.0, 1.0]), math.inf)
+
+
+def test_polytope_rejects_non_finite_vertex():
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]))
+
+
+def test_load_body_rejects_non_finite_json(tmp_path):
+    path = tmp_path / "body.json"
+    for text, name in [
+        ('{"type": "ellipsoid", "center": [NaN, 0], "shape": [[1, 0], [0, 1]]}', "NaN"),
+        ('{"type": "paraboloid", "axes": [1.0, Infinity]}', "Infinity"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=name):
+            load_body(path)
+
+
+def _support_family():
+    """Every body family in the dimensions it exists in."""
+    for n in (2, 3, 4, 5):
+        axes = np.linspace(0.7, 1.6, n - 1)
+        yield random_ellipsoid(n, seed=n)
+        yield QuadricDomain("paraboloid", axes)
+        yield QuadricDomain("hyperboloid-sheet", axes, 1.3)
+    for n in (2, 3):
+        yield Polytope.cube(n).rotated(random_rotation(n, seed=n)).translated(np.full(n, 0.3))
+        yield random_simplex(n, seed=n)
+
+
+def test_batched_support_matches_rows():
+    rng = np.random.default_rng(3)
+    for body in _support_family():
+        n = body.n
+        D = rng.standard_normal((40, n))
+        D /= np.linalg.norm(D, axis=1, keepdims=True)
+        # both signs, plus the axis rows on which quadrics switch to inf
+        D = np.vstack([D, -D, np.eye(n), -np.eye(n)])
+        batch = body.support(D)
+        rows = np.array([body.support(d) for d in D])
+        assert batch.shape == (D.shape[0],)
+        assert np.array_equal(np.isinf(batch), np.isinf(rows))
+        finite = np.isfinite(rows)
+        if isinstance(body, QuadricDomain):
+            assert 0 < finite.sum() < finite.size
+        scale = np.max(np.abs(rows[finite]))
+        assert np.max(np.abs(batch[finite] - rows[finite])) <= 2e-15 * scale, type(body).__name__
+        assert type(body.support(D[0])) is float
 
 
 def test_fibonacci_sphere_is_deterministic_and_unit():

@@ -205,18 +205,49 @@ def test_bad_xi_dimension_is_error(body_dir, capsys):
     assert code == 1
 
 
-def test_threads_env_validation(body_dir, monkeypatch, capsys):
+def test_threads_env_is_ignored(body_dir, monkeypatch):
     monkeypatch.setenv("TOMOSLICE_THREADS", "not-a-number")
-    code = run_cli(["detect", "--body", body_dir / "ell.json"])
-    assert code == 1
-    assert "TOMOSLICE_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("TOMOSLICE_THREADS", "0")
-    assert run_cli(["detect", "--body", body_dir / "ell.json"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("TOMOSLICE_THREADS", "2")
     out = body_dir / "det.json"
     assert run_cli(["detect", "--body", body_dir / "ell.json", "--out", out]) == 0
-    assert json.loads(out.read_text())["config"]["threads"] == 2
+    assert "threads" not in json.loads(out.read_text())["config"]
+
+
+def test_negative_xi_and_window_values(body_dir):
+    ball = body_dir / "ball.json"
+    cases = [
+        (["asymptote", "--body", ball, "--xi", "-1,0,0"],
+         ["asymptote", "--body", ball, "--xi=-1,0,0"]),
+        (["profile", "--body", ball, "--xi", "0,0,1", "--grid", "16", "--window", "-0.5,0.5"],
+         ["profile", "--body", ball, "--xi", "0,0,1", "--grid", "16", "--window=-0.5,0.5"]),
+    ]
+    spaced_out, joined_out = body_dir / "spaced.json", body_dir / "joined.json"
+    for spaced, joined in cases:
+        assert run_cli([*spaced, "--out", spaced_out]) == 0
+        assert run_cli([*joined, "--out", joined_out]) == 0
+        assert spaced_out.read_bytes() == joined_out.read_bytes()
+
+
+def test_usage_errors_exit_1(body_dir, capsys):
+    for args in (
+        [],
+        ["detect"],
+        ["profile", "--body", body_dir / "ball.json", "--grid", "many"],
+        ["detect", "--body", body_dir / "ell.json", "--bogus"],
+    ):
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+
+
+def test_parser_is_built_once(body_dir):
+    cli._build_parser.cache_clear()
+    out = body_dir / "prof.json"
+    for _ in range(3):
+        assert run_cli(["profile", "--body", body_dir / "ball.json", "--xi", "0,0,1",
+                        "--grid", "16", "--out", out]) == 0
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_installed_entry_point(body_dir):

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tomoslice.bodies import (
     Direction,
     Ellipsoid,
+    InfiniteSupportError,
     Polytope,
+    QuadricDomain,
     chord_interval,
     random_ellipsoid,
     random_rotation,
@@ -140,3 +144,58 @@ def test_report_serialization():
     assert d["verdict"] == "accept"
     assert len(d["recovered_center"]) == 3
     assert d["seed"] == 2
+
+
+def test_is_ellipsoid_makes_three_support_calls(monkeypatch):
+    calls = []
+    real = Ellipsoid.support
+
+    def counting(self, v):
+        calls.append(np.shape(v))
+        return real(self, v)
+
+    monkeypatch.setattr(Ellipsoid, "support", counting)
+    body = random_ellipsoid(3, seed=5)
+    for num in (40, 200, 1000):
+        calls.clear()
+        report = is_ellipsoid(body, num_directions=num, seed=1)
+        assert report.accepted
+        # h(xi) and h(-xi) for the center, h(xi) for the quadratic form
+        assert calls == [(num, 3)] * 3
+        calls.clear()
+        section_consistency_check(body, report, num_probes=25, seed=0)
+        assert calls == [(25, 3)] * 2
+
+
+def _scalar_replay(body, recovered, num_probes, seed):
+    """The replay as a loop of scalar draws: direction, chord, then offset."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    max_err = 0.0
+    for _ in range(num_probes):
+        g = rng.standard_normal(body.n)
+        d = Direction(g / np.linalg.norm(g))
+        lo, hi = chord_interval(body, d)
+        width = hi - lo
+        t = rng.uniform(lo + 0.1 * width, hi - 0.1 * width)
+        a_in = section_volume(body, d, t)
+        max_err = max(max_err, abs(section_volume(recovered, d, t) - a_in) / a_in)
+    return max_err
+
+
+def test_consistency_check_keeps_the_scalar_probe_stream():
+    for n in (2, 3, 4):
+        body = random_ellipsoid(n, seed=60 + n)
+        report = is_ellipsoid(body, seed=3)
+        # a recovered shape off by 1 % makes every probe's error visible
+        off = dataclasses.replace(report, recovered_shape=1.01 * report.recovered_shape)
+        got = section_consistency_check(body, off, num_probes=40, seed=7)
+        want = _scalar_replay(body, off.recovered_body(), 40, 7)
+        assert got > 1e-3
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_consistency_check_rejects_unbounded_probe():
+    par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
+    report = is_ellipsoid(random_ellipsoid(3, seed=1), seed=0)
+    with pytest.raises(InfiniteSupportError):
+        section_consistency_check(par, report, num_probes=10, seed=0)

@@ -275,3 +275,16 @@ def test_report_records_the_order_used():
     explicit = range_test(cube, 2, 40, quad_order=5)
     assert explicit.quad_order == 5
     assert np.allclose(explicit.moments, range_test(cube, 2, 40).moments, rtol=1e-13, atol=0)
+
+
+def test_explicit_quad_order_one_reproduces_the_default():
+    ell = random_ellipsoid(3, seed=4)
+    for k in (0, 1):
+        default = range_test(ell, k, 40)
+        explicit = range_test(ell, k, 40, quad_order=1)
+        assert default.quad_order == explicit.quad_order == 1
+        assert np.array_equal(explicit.moments, default.moments)
+        assert np.array_equal(explicit.fit_coefficients, default.fit_coefficients)
+    for bad in (0, 1.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            moment(ell, E3, 0, quad_order=bad)
