@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -363,26 +364,34 @@ def _tangent_frame(v):
     return Q[:, 1:n]
 
 
-def _entry_depth(body, base, inward, start=1e-14):
-    """Smallest s >= 0 with base + s*inward inside the body (bisection on the
-    membership test; assumes the ray does hit the body)."""
-    if body.contains(base):
-        return 0.0
-    s = start
+def _entry_depths(body, bases, inward, start=1e-14):
+    """Smallest s >= 0 with bases[i] + s*inward inside the body, for every row
+    of ``bases`` (bisection on the membership test; assumes each ray does hit
+    the body).
+
+    The rays advance in lockstep, one ``contains_points`` call per step: the
+    bases, then doubling steps s = start * 2^j on the rays still outside (at
+    most 256), then 70 bisection steps on all of them.  Each ray sees the same
+    sequence of points as it would alone.
+    """
+    at_base = body.contains_points(bases)
+    s = np.full(len(bases), start)
+    outside = np.flatnonzero(~at_base)
     for _ in range(256):
-        if body.contains(base + s * inward):
+        if outside.size == 0:
             break
-        s *= 2.0
-    else:
+        entered = body.contains_points(bases[outside] + s[outside, None] * inward)
+        outside = outside[~entered]
+        s[outside] *= 2.0
+    if outside.size:
         raise ValueError("ray from the tangent plane never entered the body")
-    lo, hi = 0.0, s
+    lo, hi = np.zeros_like(s), s
     for _ in range(70):
         mid = 0.5 * (lo + hi)
-        if body.contains(base + mid * inward):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        inside = body.contains_points(bases + mid[:, None] * inward)
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    return np.where(at_base, 0.0, 0.5 * (lo + hi))
 
 
 def principal_curvatures(body, xi, step=1e-4):
@@ -393,30 +402,31 @@ def principal_curvatures(body, xi, step=1e-4):
     for small tangential offsets, and differences those depths to a Hessian.
     Uses only membership queries, never the section formulas, so it can sit on
     the other side of a cross-check.
+
+    The 2k + 4*k(k-1)/2 rays of a k-dimensional tangent frame are built up
+    front and searched together as arrays, so one curvature makes at most
+    1 + 256 + 70 ``contains_points`` calls and no ``contains`` call.
     """
     d = as_direction(xi)
     v = d.components
     x0 = body.argmax_support(v)
     U = _tangent_frame(v)
     k = U.shape[1]
-    inward = -v
-
-    def depth(y):
-        return _entry_depth(body, x0 + U @ y, inward)
-
-    H = np.empty((k, k))
     e = np.eye(k) * step
-    for i in range(k):
-        H[i, i] = (depth(e[i]) + depth(-e[i])) / step**2
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = (
-                depth(e[i] + e[j])
-                - depth(e[i] - e[j])
-                - depth(-e[i] + e[j])
-                + depth(-e[i] - e[j])
-            ) / (4.0 * step**2)
-            H[i, j] = H[j, i] = val
+    # offsets +-e_i, then +-e_i +- e_j for each pair i < j in row-major order
+    offsets = [y for i in range(k) for y in (e[i], -e[i])]
+    offsets += [
+        y
+        for i, j in combinations(range(k), 2)
+        for y in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])
+    ]
+    Y = np.array(offsets)
+    # x0 + U @ y for every row, through the matrix-vector product of one y
+    depth = _entry_depths(body, x0 + np.matmul(U, Y[:, :, None])[..., 0], -v)
+    H = np.diag((depth[0 : 2 * k : 2] + depth[1 : 2 * k : 2]) / step**2)
+    quad = depth[2 * k :].reshape(-1, 4)
+    rows, cols = np.triu_indices(k, 1)
+    H[rows, cols] = H[cols, rows] = (quad[:, 0] - quad[:, 1] - quad[:, 2] + quad[:, 3]) / (4.0 * step**2)
     kappa = np.linalg.eigvalsh(H)
     if np.any(kappa <= 0):
         raise ValueError("boundary contact is not elliptic: nonpositive curvature measured")

@@ -12,6 +12,8 @@ instead of raising, so callers can filter directions.
 Every ``support`` takes one direction, an array of shape (n,), and returns a
 float, or a stack of directions, an array of shape (m, n), and returns an
 array of m values.  There is one code path: the formulas act on the last axis.
+Membership works the same way: ``contains(x)`` is the one-row case of
+``contains_points(X)``, so a point gets the same verdict alone or in a batch.
 """
 
 from __future__ import annotations
@@ -203,14 +205,15 @@ class Ellipsoid:
         return self.center + g / math.sqrt(v @ g)
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.center
-        return bool(d @ self.shape @ d <= 1.0)
+        return bool(self.contains_points(np.asarray(x, dtype=float)[None])[0])
 
     def contains_points(self, X):
-        X = np.asarray(X, dtype=float)
-        d = X - self.center
-        return np.einsum("ij,jk,ik->i", d, self.shape, d) <= 1.0
+        """Membership of each row of an (m, n) array."""
+        D = np.asarray(X, dtype=float) - self.center
+        # stacked products give every row the vector-matrix-then-dot path of
+        # one d @ M @ d; einsum sums in another order and moves the boundary
+        q = np.matmul(np.matmul(D[:, None, :], self.shape), D[:, :, None])[:, 0, 0]
+        return q <= 1.0
 
     def bounding_box(self):
         r = np.sqrt(np.diag(self._shape_inv))
@@ -337,12 +340,15 @@ class Polytope:
         return self.vertices[int(np.argmax(self.vertices @ v))]
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self._facet_normals @ x <= self._facet_offsets))
+        return bool(self.contains_points(np.asarray(x, dtype=float)[None])[0])
 
     def contains_points(self, X):
+        """Membership of each row of an (m, n) array."""
         X = np.asarray(X, dtype=float)
-        return np.all(X @ self._facet_normals.T <= self._facet_offsets, axis=1)
+        # one matrix-vector product N @ x per row, as for a single point;
+        # X @ N.T would round some facet heights differently
+        heights = np.matmul(self._facet_normals, X[:, :, None])[..., 0]
+        return np.all(heights <= self._facet_offsets, axis=1)
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -434,14 +440,10 @@ class QuadricDomain:
         return np.append(xp, self.c * beta / root)
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        xp, xn = x[:-1], x[-1]
-        q = float(np.sum(xp**2 / self.axes**2))
-        if self.kind == PARABOLOID:
-            return bool(xn >= q)
-        return bool(xn > 0.0 and xn**2 / self.c**2 - q >= 1.0)
+        return bool(self.contains_points(np.asarray(x, dtype=float)[None])[0])
 
     def contains_points(self, X):
+        """Membership of each row of an (m, n) array."""
         X = np.asarray(X, dtype=float)
         q = np.sum(X[:, :-1] ** 2 / self.axes**2, axis=1)
         if self.kind == PARABOLOID:

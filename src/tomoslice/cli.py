@@ -3,9 +3,11 @@
 Subcommands: profile, moments, algfit, detect, asymptote, quadric-check.
 Exit codes: 0 on success, 2 when a check ran cleanly but reached a negative
 verdict (reject, or no workable power), 1 on errors such as malformed body
-JSON.  Output is byte deterministic for a fixed configuration and seed: JSON
-is dumped with sorted keys and CSV floats are written via repr, and every
-report embeds the fully resolved configuration.
+JSON or a non-finite value in a report (reports are standard JSON, never
+NaN or Infinity).  Output is byte deterministic for a fixed configuration
+and seed: JSON is dumped with sorted keys and CSV floats are written via
+repr, and every report embeds the fully resolved configuration.  Run it as
+``tomoslice`` or ``python -m tomoslice``.
 """
 
 from __future__ import annotations
@@ -75,14 +77,30 @@ def _emit(text, out_path):
             fh.write(text)
 
 
+def _dumps(obj, **kwargs):
+    """Standard JSON only: a non-finite value is an error, never a NaN token."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"report holds a non-finite value: {exc}") from None
+
+
 def _json_report(config, payload):
-    return json.dumps({"config": asdict(config), **payload}, sort_keys=True, indent=2) + "\n"
+    return _dumps({"config": asdict(config), **payload}, indent=2) + "\n"
+
+
+def _csv_field(x):
+    if not isinstance(x, float):
+        return str(x)
+    if not math.isfinite(x):
+        raise ValueError(f"report holds a non-finite value: {x!r}")
+    return repr(float(x))
 
 
 def _csv_report(config, header, rows):
-    lines = ["# config " + json.dumps(asdict(config), sort_keys=True), header]
+    lines = ["# config " + _dumps(asdict(config)), header]
     for row in rows:
-        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
+        lines.append(",".join(_csv_field(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -253,12 +271,19 @@ class _Parser(argparse.ArgumentParser):
 _SIGNED_VALUE_OPTIONS = ("--xi", "--window")
 
 
+def _names_signed_value_option(arg):
+    """Whether ``arg`` is a signed-value option or a prefix of one: argparse
+    expands a unique prefix and reports an ambiguous one itself."""
+    return len(arg) > 2 and arg.startswith("--") and any(opt.startswith(arg) for opt in _SIGNED_VALUE_OPTIONS)
+
+
 def _bind_signed_values(argv):
-    """Rewrite ``--xi -1,0,0`` as ``--xi=-1,0,0``: argparse would otherwise
-    read a value such as -1,0,0 as an unknown option."""
+    """Rewrite ``--xi -1,0,0`` as ``--xi=-1,0,0``, and an abbreviation such
+    as ``--x -1,0,0`` as ``--x=-1,0,0``: argparse would otherwise read a value
+    such as -1,0,0 as an unknown option."""
     out = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+        if out and _names_signed_value_option(out[-1]) and arg.startswith("-") and not arg.startswith("--"):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -326,15 +326,20 @@ def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, b
     in the body and in the slab {|x.xi - t| <= w}, and returns
     Vol(box) * fraction / (2 w) together with the binomial standard error.
     The generator is counter-based (Philox), so a fixed seed gives identical
-    results independent of batching.
+    results independent of batching.  The points are drawn as arrays of up
+    to 10^6 rows: ``random`` fills a batch and each column is mapped by
+    lo + (hi - lo)*u in place, the Philox stream and the map of numpy's
+    ``uniform(lo, hi)``, so the draws equal its draws bit for bit; only the
+    rows inside the slab reach ``contains_points``.
 
     Parameters
     ----------
     slab_halfwidth : float, optional
         Defaults to 1e-3 times the chord width (bounded bodies only).
-    box : (lo, hi) pair of arrays, optional
-        Sampling box.  Mandatory for unbounded bodies, where it doubles as the
-        truncation window of the estimate.
+    box : (lo, hi) pair of arrays or scalars, optional
+        Sampling box; a scalar bound applies to every coordinate.  Mandatory
+        for unbounded bodies, where it doubles as the truncation window of
+        the estimate.
     """
     d = as_direction(xi)
     if d.n != body.n:
@@ -346,8 +351,11 @@ def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, b
             raise ValueError("unbounded body: supply a truncation box")
         lo, hi = body.bounding_box()
     else:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
+        # a scalar bound applies to every coordinate
+        lo = np.broadcast_to(np.asarray(box[0], dtype=float), body.n)
+        hi = np.broadcast_to(np.asarray(box[1], dtype=float), body.n)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("sampling box must be finite")
     if np.any(hi <= lo):
         raise ValueError("bounding box has nonpositive volume")
     if slab_halfwidth is None:
@@ -361,14 +369,21 @@ def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, b
     w = float(slab_halfwidth)
     if w <= 0:
         raise ValueError("slab halfwidth must be positive")
-    box_volume = float(np.prod(hi - lo))
+    span = hi - lo
+    box_volume = float(np.prod(span))
     v = d.components
     rng = np.random.Generator(np.random.Philox(seed))
     hits = 0
     remaining = int(samples)
     while remaining > 0:
         batch = min(remaining, 1_000_000)
-        X = rng.uniform(lo, hi, size=(batch, body.n))
+        X = rng.random((batch, body.n))
+        # uniform's lo + (hi - lo)*u, in place one column at a time, which
+        # beats a broadcast X *= span
+        for j in range(body.n):
+            col = X[:, j]
+            col *= span[j]
+            col += lo[j]
         in_slab = np.abs(X @ v - float(t)) <= w
         if np.any(in_slab):
             hits += int(np.count_nonzero(body.contains_points(X[in_slab])))

@@ -231,6 +231,109 @@ def test_principal_curvatures_sphere_and_spheroid():
     assert principal_curvatures(prolate, d) == pytest.approx([2.0, 2.0], abs=1e-4)
 
 
+def _one_point_contains(body, x):
+    """The one-point membership expressions d @ M @ d and the quadric forms."""
+    if isinstance(body, Ellipsoid):
+        d = x - body.center
+        return bool(d @ body.shape @ d <= 1.0)
+    q = float(np.sum(x[:-1] ** 2 / body.axes**2))
+    if body.kind == "paraboloid":
+        return bool(x[-1] >= q)
+    return bool(x[-1] > 0.0 and x[-1] ** 2 / body.c**2 - q >= 1.0)
+
+
+def _scalar_entry_depth(body, base, inward, start=1e-14):
+    """One ray at a time: the loop the lockstep search must reproduce."""
+    if _one_point_contains(body, base):
+        return 0.0
+    s = start
+    for _ in range(256):
+        if _one_point_contains(body, base + s * inward):
+            break
+        s *= 2.0
+    else:
+        raise ValueError("ray from the tangent plane never entered the body")
+    lo, hi = 0.0, s
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        if _one_point_contains(body, base + mid * inward):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _scalar_principal_curvatures(body, xi, step=1e-4):
+    v = xi.components
+    x0 = body.argmax_support(v)
+    Q, _ = np.linalg.qr(np.column_stack([v, np.eye(v.size)]))
+    U = Q[:, 1:]
+    k = U.shape[1]
+
+    def depth(y):
+        return _scalar_entry_depth(body, x0 + U @ y, -v)
+
+    H = np.empty((k, k))
+    e = np.eye(k) * step
+    for i in range(k):
+        H[i, i] = (depth(e[i]) + depth(-e[i])) / step**2
+    for i in range(k):
+        for j in range(i + 1, k):
+            val = (
+                depth(e[i] + e[j]) - depth(e[i] - e[j]) - depth(-e[i] + e[j]) + depth(-e[i] - e[j])
+            ) / (4.0 * step**2)
+            H[i, j] = H[j, i] = val
+    return np.linalg.eigvalsh(H)
+
+
+def _curvature_cases():
+    cases = [(random_ellipsoid(n, seed=70 + n), rand_dir(n, 80 + n)) for n in (2, 3, 4)]
+    cases.append((Ellipsoid.from_axes([1.0, 1.0, 1.0]), Direction.from_vector([0.0, 0.0, 1.0])))
+    down = Direction.from_vector([0.2, -0.1, -1.0])
+    cases.append((QuadricDomain("paraboloid", np.array([0.8, 1.3])), down))
+    cases.append((QuadricDomain("hyperboloid-sheet", np.array([1.1, 0.7]), 0.9), down))
+    return cases
+
+
+def test_principal_curvatures_equal_the_one_ray_loop():
+    for body, d in _curvature_cases():
+        assert np.array_equal(principal_curvatures(body, d), _scalar_principal_curvatures(body, d)), body
+
+
+def _count_calls(monkeypatch, cls, name, replacement=None):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(1)
+        return (replacement or original)(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_principal_curvatures_call_counts(monkeypatch):
+    for body, d in _curvature_cases():
+        cls = type(body)
+        single = _count_calls(monkeypatch, cls, "contains")
+        batched = _count_calls(monkeypatch, cls, "contains_points")
+        principal_curvatures(body, d)
+        assert len(single) == 0
+        # bases, doubling steps, bisection steps
+        assert 1 + 1 + 70 <= len(batched) <= 1 + 256 + 70
+        monkeypatch.undo()
+
+
+def test_principal_curvatures_ray_that_never_enters(monkeypatch):
+    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
+    batched = _count_calls(
+        monkeypatch, Ellipsoid, "contains_points", lambda self, X: np.zeros(len(X), dtype=bool)
+    )
+    with pytest.raises(ValueError, match="never entered"):
+        principal_curvatures(ball, Direction.from_vector([0.0, 0.0, 1.0]))
+    assert len(batched) == 1 + 256
+
+
 def test_boundary_constant_matches_curvature_prediction():
     body = random_ellipsoid(3, seed=888)
     d = rand_dir(3, 889)

@@ -352,3 +352,70 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
+
+
+def _membership_bodies():
+    """One body of every family in n = 2..5 (polytopes in n = 2, 3)."""
+    out = []
+    for n in range(2, 6):
+        axes = np.linspace(0.7, 1.4, n - 1)
+        out += [
+            random_ellipsoid(n, seed=40 + n),
+            QuadricDomain("paraboloid", axes),
+            QuadricDomain("hyperboloid-sheet", axes, 0.9),
+        ]
+    for n in (2, 3):
+        out += [random_simplex(n, seed=50 + n), Polytope.cube(n).rotated(random_rotation(n, seed=60 + n))]
+    return out
+
+
+def _interior_point(body):
+    if isinstance(body, Ellipsoid):
+        return body.center
+    if isinstance(body, Polytope):
+        return body.vertices.mean(axis=0)
+    return np.append(np.zeros(body.n - 1), 2.5)
+
+
+def _near_boundary_points(body, rng, rays=60):
+    """Points on both sides of the boundary, a few ulps apart: each ray from an
+    interior point is bisected on the membership test until it stalls."""
+    origin = _interior_point(body)
+    U = rng.standard_normal((rays, body.n))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    lo, hi = np.zeros(rays), np.full(rays, 8.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        inside = body.contains_points(origin + mid[:, None] * U)
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return np.concatenate([origin + s[:, None] * U for s in (lo, hi, 0.5 * (lo + hi))])
+
+
+def _one_point_membership(body, x):
+    """The plain one-point expressions d @ M @ d and N @ x of each family."""
+    if isinstance(body, Ellipsoid):
+        d = x - body.center
+        return bool(d @ body.shape @ d <= 1.0)
+    if isinstance(body, Polytope):
+        return bool(np.all(body._facet_normals @ x <= body._facet_offsets))
+    q = float(np.sum(x[:-1] ** 2 / body.axes**2))
+    if body.kind == "paraboloid":
+        return bool(x[-1] >= q)
+    return bool(x[-1] > 0.0 and x[-1] ** 2 / body.c**2 - q >= 1.0)
+
+
+def test_contains_points_rows_equal_contains():
+    rng = np.random.default_rng(2024)
+    for body in _membership_bodies():
+        n = body.n
+        X = np.vstack([rng.uniform(-3.0, 3.0, size=(400, n)), _near_boundary_points(body, rng)])
+        batch = body.contains_points(X)
+        rows = np.array([body.contains(x) for x in X])
+        assert batch.dtype == bool and batch.shape == (X.shape[0],)
+        assert np.array_equal(batch, rows), (type(body).__name__, n)
+        # a batch rounds each row as the one-point expressions do, so the
+        # bisections of the curvature oracle land where they always did
+        assert np.array_equal(rows, [_one_point_membership(body, x) for x in X]), (type(body).__name__, n)
+        # both verdicts occur, among the near-boundary points too
+        assert 0 < rows[400:].sum() < rows[400:].size
+        assert type(body.contains(X[0])) is bool

@@ -227,6 +227,60 @@ def test_negative_xi_and_window_values(body_dir):
         assert spaced_out.read_bytes() == joined_out.read_bytes()
 
 
+def test_abbreviated_signed_value_options(body_dir):
+    ball = body_dir / "ball.json"
+    cases = [
+        (["asymptote", "--body", ball, "--x", "-1,0,0"],
+         ["asymptote", "--body", ball, "--xi=-1,0,0"]),
+        (["profile", "--body", ball, "--xi", "0,0,1", "--grid", "16", "--win", "-0.5,0.5"],
+         ["profile", "--body", ball, "--xi", "0,0,1", "--grid", "16", "--window=-0.5,0.5"]),
+    ]
+    short_out, joined_out = body_dir / "short.json", body_dir / "joined.json"
+    for short, joined in cases:
+        assert run_cli([*short, "--out", short_out]) == 0
+        assert run_cli([*joined, "--out", joined_out]) == 0
+        assert short_out.read_bytes() == joined_out.read_bytes()
+
+
+def test_non_finite_report_value_is_an_error(body_dir, monkeypatch, capsys):
+    real = cli.algfit.exponent_estimate
+
+    def nan_result(*args, **kwargs):
+        report = real(*args, **kwargs)
+        # the JSON report carries the constant, the CSV table the values
+        report.estimated_constant = math.nan
+        report.values = np.where(np.arange(report.values.size) == 3, math.nan, report.values)
+        return report
+
+    monkeypatch.setattr(cli.algfit, "exponent_estimate", nan_result)
+    out = body_dir / "asy.json"
+    for fmt in ("json", "csv"):
+        args = ["asymptote", "--body", body_dir / "ball.json", "--xi", "0,0,1", "--format", fmt]
+        assert run_cli(args + ["--out", out]) == 1
+        assert not out.exists()
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "non-finite" in captured.err
+        assert "NaN" not in captured.out and "nan" not in captured.out
+
+
+def test_python_dash_m_matches_in_process_run(body_dir):
+    import tomoslice
+
+    args = ["asymptote", "--body", str(body_dir / "ell.json"), "--xi", "-0.3,0.2,0.9"]
+    in_process = body_dir / "in_process.json"
+    assert run_cli([*args, "--out", in_process]) == 0
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tomoslice.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tomoslice", *args], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout == in_process.read_bytes()
+
+
 def test_usage_errors_exit_1(body_dir, capsys):
     for args in (
         [],

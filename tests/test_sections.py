@@ -403,3 +403,47 @@ def test_profile_makes_one_section_call(monkeypatch):
     monkeypatch.setattr(sections_module, "section_volume", counting)
     profile(Polytope.cube(3), unit([0.3, -0.5, 0.8]), num_points=64)
     assert calls == [64]
+
+
+def _mc_with_uniform(body, xi, t, w, samples, seed, lo, hi):
+    """The slab estimate drawn with numpy's broadcast ``uniform``."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    hits, remaining = 0, samples
+    while remaining > 0:
+        batch = min(remaining, 1_000_000)
+        X = rng.uniform(lo, hi, size=(batch, body.n))
+        in_slab = np.abs(X @ xi.components - t) <= w
+        hits += int(np.count_nonzero(body.contains_points(X[in_slab])))
+        remaining -= batch
+    p = hits / samples
+    box_volume = float(np.prod(hi - lo))
+    return box_volume * p / (2.0 * w), box_volume * math.sqrt(p * (1.0 - p) / samples) / (2.0 * w)
+
+
+def test_mc_draws_equal_numpy_uniform():
+    body = random_ellipsoid(3, seed=31)
+    d = unit([0.4, -0.2, 0.9])
+    lo, hi = body.bounding_box()
+    t = 0.2
+    for seed, samples in ((0, 50_000), (7, 50_001), (123, 1_000_003)):
+        got = section_volume_mc(body, d, t, slab_halfwidth=0.01, samples=samples, seed=seed)
+        assert got == _mc_with_uniform(body, d, t, 0.01, samples, seed, lo, hi), seed
+    par = QuadricDomain("hyperboloid-sheet", np.array([1.0, 0.8]), 0.7)
+    box = (np.array([-2.0, -1.5, 0.0]), np.array([2.5, 1.5, 4.0]))
+    up = unit([0.1, 0.0, 1.0])
+    for seed in (3, 4):
+        got = section_volume_mc(par, up, 2.0, slab_halfwidth=0.02, samples=200_000, seed=seed, box=box)
+        assert got == _mc_with_uniform(par, up, 2.0, 0.02, 200_000, seed, *box), seed
+
+
+def test_mc_scalar_box_bounds_every_coordinate():
+    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
+    scalar = section_volume_mc(ball, E3, 0.0, samples=20_000, seed=1, box=(-1.0, 1.0))
+    assert scalar == section_volume_mc(ball, E3, 0.0, samples=20_000, seed=1, box=(-np.ones(3), np.ones(3)))
+
+
+def test_mc_rejects_non_finite_box():
+    par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
+    for hi in (np.array([2.0, 2.0, np.inf]), np.array([2.0, np.nan, 4.0])):
+        with pytest.raises(ValueError, match="finite"):
+            section_volume_mc(par, unit([0, 0, -1]), -2.0, samples=1000, seed=0, box=(-hi, hi))
