@@ -14,11 +14,12 @@ input body's own section engine.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Direction, Ellipsoid, InfiniteSupportError, sample_directions
+from .bodies import Ellipsoid, InfiniteSupportError, sample_directions
 from .algfit import normalized_constant_from_value
 from .sections import section_volume
 
@@ -48,39 +49,26 @@ def _direction_set(n, num_directions, seed):
     return sample_directions(n, num_directions, seed=seed, antithetic=True)
 
 
-def estimate_e(body, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
-    """Least-squares vector e with h(xi) - h(-xi) ~ e.xi over a direction set.
+def _require_directions(num_directions, needed, n):
+    if num_directions < needed:
+        raise ValueError(f"need at least {needed} directions in dimension {n}")
 
-    For an ellipsoid centered at c this difference is exactly 2*c.xi, so e
-    recovers twice the center.  Returns (e, relative_residual); the residual
-    is the size of the non-linear part of the odd support data.
-    """
-    n = body.n
-    if num_directions < 2 * n:
-        raise ValueError(f"need at least {2 * n} directions in dimension {n}")
-    dirs = _direction_set(n, num_directions, seed)
-    if np.linalg.matrix_rank(dirs) < n:
-        raise ValueError("direction set is rank deficient")
+
+def _fit_center(body, dirs):
+    """estimate_e on a given direction set."""
     odd = body.support(dirs) - body.support(-dirs)
-    e, *_ = np.linalg.lstsq(dirs, odd, rcond=None)
+    # lstsq's rank uses matrix_rank's cutoff, eps * max(M, N) * s_max
+    e, _, rank, _ = np.linalg.lstsq(dirs, odd, rcond=None)
+    if rank < body.n:
+        raise ValueError("direction set is rank deficient")
     resid = float(np.linalg.norm(dirs @ e - odd))
     rel = resid / max(float(np.linalg.norm(odd)), _RESIDUAL_GUARD)
     return e, rel
 
 
-def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
-    """Fit H(xi)^2 by a quadratic form xi^T S xi, H(xi) = h(xi) - e.xi / 2.
-
-    Returns (S, relative_residual).  For an ellipsoid with shape matrix M the
-    recentered support satisfies H^2 = xi^T M^-1 xi exactly, so S estimates
-    M^-1 and the residual measures the distance from quadratic support data.
-    """
+def _fit_shape(body, e, dirs):
+    """quadratic_fit on a given direction set."""
     n = body.n
-    n_params = n * (n + 1) // 2
-    if num_directions < 2 * n_params:
-        raise ValueError(f"need at least {2 * n_params} directions in dimension {n}")
-    e = np.asarray(e, dtype=float)
-    dirs = _direction_set(n, num_directions, seed)
     H = body.support(dirs) - 0.5 * dirs @ e
     y = H**2
     cols = []
@@ -93,15 +81,40 @@ def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
             cols.append(2.0 * dirs[:, i] * dirs[:, j])
             index.append((i, j))
     design = np.column_stack(cols)
-    if np.linalg.matrix_rank(design) < n_params:
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < len(index):
         raise ValueError("direction set is rank deficient for the quadratic basis")
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     S = np.zeros((n, n))
     for (i, j), val in zip(index, coef):
         S[i, j] = S[j, i] = val
     resid = float(np.linalg.norm(design @ coef - y))
     rel = resid / max(float(np.linalg.norm(y)), _RESIDUAL_GUARD)
     return S, rel
+
+
+def estimate_e(body, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
+    """Least-squares vector e with h(xi) - h(-xi) ~ e.xi over a direction set.
+
+    For an ellipsoid centered at c this difference is exactly 2*c.xi, so e
+    recovers twice the center.  Returns (e, relative_residual); the residual
+    is the size of the non-linear part of the odd support data.
+    """
+    n = body.n
+    _require_directions(num_directions, 2 * n, n)
+    return _fit_center(body, _direction_set(n, num_directions, seed))
+
+
+def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
+    """Fit H(xi)^2 by a quadratic form xi^T S xi, H(xi) = h(xi) - e.xi / 2.
+
+    Returns (S, relative_residual).  For an ellipsoid with shape matrix M the
+    recentered support satisfies H^2 = xi^T M^-1 xi exactly, so S estimates
+    M^-1 and the residual measures the distance from quadratic support data.
+    """
+    n = body.n
+    _require_directions(num_directions, n * (n + 1), n)
+    e = np.asarray(e, dtype=float)
+    return _fit_shape(body, e, _direction_set(n, num_directions, seed))
 
 
 @dataclass(eq=False)
@@ -166,8 +179,13 @@ def is_ellipsoid(
     tolerances assume exact support evaluations; data from the Monte Carlo
     oracle calls for the documented loosening to about 1e-4.
     """
-    e, lin_res = estimate_e(body, num_directions=num_directions, seed=seed)
-    S, quad_res = quadratic_fit(body, e, num_directions=num_directions, seed=seed)
+    n = body.n
+    _require_directions(num_directions, 2 * n, n)
+    _require_directions(num_directions, n * (n + 1), n)
+    # both stages share one direction set
+    dirs = _direction_set(n, num_directions, seed)
+    e, lin_res = _fit_center(body, dirs)
+    S, quad_res = _fit_shape(body, e, dirs)
     eigvals = np.linalg.eigvalsh(S)
     definite = bool(eigvals.min() > 0.0)
     ok = lin_res < tol_linear and quad_res < tol_quadratic and definite
@@ -202,7 +220,15 @@ def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=
     extracted from the input body; if it fails to be direction independent
     within ``constant_tol`` the input is not section-wise ellipsoidal and a
     SectionConstantError is raised.
+
+    The probes go to the section engines as one direction stack: one
+    ``section_volume`` call on the input body, at each probe's offset and
+    chord midpoint, and one on the recovered ellipsoid.
     """
+    if isinstance(num_probes, bool) or not isinstance(num_probes, numbers.Integral) or num_probes < 1:
+        raise ValueError(f"num_probes must be a positive integer, got {num_probes!r}")
+    if not constant_tol >= 0.0:
+        raise ValueError(f"constant_tol must be a non-negative number, got {constant_tol!r}")
     if not report.accepted:
         raise ValueError("consistency check needs an accepted report")
     recovered = report.recovered_body()
@@ -210,12 +236,13 @@ def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=
     rng = np.random.Generator(np.random.Philox(seed))
     # the draws keep their order (direction, then offset fraction), so the
     # probes are those of a loop that looks up each chord before drawing t
-    dirs = np.empty((num_probes, n))
+    G = np.empty((num_probes, n))
     fracs = np.empty(num_probes)
     for i in range(num_probes):
-        g = rng.standard_normal(n)
-        dirs[i] = g / np.linalg.norm(g)
+        G[i] = rng.standard_normal(n)
         fracs[i] = rng.random()
+    # rounds like g / np.linalg.norm(g) on every row; norm(G, axis=1) does not
+    dirs = G / np.sqrt(np.vecdot(G, G))[:, None]
     t_hi = body.support(dirs)
     t_lo = -body.support(-dirs)
     if not (np.all(np.isfinite(t_hi)) and np.all(np.isfinite(t_lo))):
@@ -225,18 +252,13 @@ def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=
     # the map numpy's uniform(lo, hi) applies to one random() draw
     ts = lo + (hi - lo) * fracs
     mids = 0.5 * (t_lo + t_hi)
-    max_err = 0.0
-    constants = np.empty(num_probes)
-    for i in range(num_probes):
-        d = Direction(dirs[i])
-        a_in, a_mid = section_volume(body, d, [ts[i], mids[i]])
-        a_rec = section_volume(recovered, d, ts[i])
-        err = abs(a_rec - a_in) / max(abs(a_in), _RESIDUAL_GUARD)
-        max_err = max(max_err, err)
-        constants[i] = normalized_constant_from_value(a_mid, mids[i], t_lo[i], t_hi[i], n)
+    a_in, a_mid = section_volume(body, dirs, np.column_stack([ts, mids])).T
+    a_rec = section_volume(recovered, dirs, ts)
+    errs = np.abs(a_rec - a_in) / np.maximum(np.abs(a_in), _RESIDUAL_GUARD)
+    constants = normalized_constant_from_value(a_mid, mids, t_lo, t_hi, n)
     spread = float(constants.max() - constants.min()) / max(abs(float(constants.mean())), _RESIDUAL_GUARD)
     if spread > constant_tol:
         raise SectionConstantError(
             f"normalized section coefficient varies across directions (spread {spread:.3e})"
         )
-    return float(max_err)
+    return float(errs.max())

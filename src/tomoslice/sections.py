@@ -8,6 +8,14 @@ Every exact engine takes a scalar offset t or an array of them, through one
 code path: a scalar is an array of size 1 and comes back as a float.  All
 engines return 0 outside the chord interval, NaN for a NaN offset, and
 satisfy A(xi, t) = A(-xi, -t) by construction.
+
+``section_volume`` and ``section_volume_ellipsoid`` also take a direction
+stack: xi an (m, n) array of unit rows, with offsets of shape (m,) or (m, k)
+whose row i belongs to direction i; the result has the offsets' shape.  The
+ellipsoid engine evaluates a stack as arrays, through stacked products that
+round like its one-direction call, so a row differs from that call only where
+numpy's array ``power`` and Python's float ``**`` round apart, by a few ulp.
+The other families map a stack row by row through their one-direction call.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (
+    _UNIT_TOL,
     Direction,
     Ellipsoid,
     InfiniteSupportError,
@@ -135,8 +144,32 @@ def _shaped(values, ts, shape):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
+def _is_stack(xi):
+    return not isinstance(xi, Direction) and np.ndim(xi) == 2
+
+
+def _direction_stack(xi, t, n):
+    """Validated (m, n) stack of unit rows, the offsets as an (m, k) array, and
+    the offsets' own shape, (m,) or (m, k), to hand the result back in."""
+    D = np.asarray(xi, dtype=float)
+    if D.shape[1] != n:
+        raise ValueError(f"direction stack rows have {D.shape[1]} components, the body has dimension {n}")
+    if not np.all(np.isfinite(D)):
+        raise ValueError("direction stack rows must be finite")
+    if np.any(np.abs(np.sqrt(np.vecdot(D, D)) - 1.0) > _UNIT_TOL):
+        raise ValueError("direction stack rows must have unit Euclidean norm")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim not in (1, 2) or ts.shape[0] != D.shape[0]:
+        raise ValueError(
+            f"offsets of shape {ts.shape} do not match a stack of {D.shape[0]} directions:"
+            " expected (m,) or (m, k) with m rows"
+        )
+    return D, ts.reshape(D.shape[0], -1), ts.shape
+
+
 def section_volume_ellipsoid(body, xi, t):
-    """Exact section volume of an ellipsoid, for a scalar or an array of offsets.
+    """Exact section volume of an ellipsoid, for a scalar or an array of
+    offsets, along one direction or a direction stack.
 
     For K = {(x-c)^T M (x-c) <= 1} and unit xi with hbar = sqrt(xi^T M^-1 xi),
 
@@ -146,16 +179,29 @@ def section_volume_ellipsoid(body, xi, t):
     on |t - c.xi| <= hbar and 0 outside.  The constant was pinned by
     cross-checking against the Monte Carlo slab oracle (see the test suite)
     before being relied on anywhere else.
+
+    With xi an (m, n) stack of unit rows and offsets of shape (m,) or (m, k),
+    row i of the result is A(xi_i, t_i).  hbar and c.xi come from stacked
+    products, which round like ``centered_support(v)`` and ``c @ v``; only
+    hbar^-n, an array ``power`` here and a float ``**`` in the one-direction
+    call, can move a row by a few ulp.
     """
     if not isinstance(body, Ellipsoid):
         raise TypeError("section_volume_ellipsoid expects an Ellipsoid")
-    d = as_direction(xi)
-    if d.n != body.n:
-        raise ValueError("direction dimension does not match the body")
-    v = d.components
-    ts, shape = _offsets(t)
-    hbar = body.centered_support(v)
-    tau = ts - float(body.center @ v)
+    if _is_stack(xi):
+        D, ts, shape = _direction_stack(xi, t, body.n)
+        rows = D[:, None, :]
+        w = np.matmul(rows, body._shape_inv_factor)[:, 0, :]
+        hbar = np.sqrt(np.vecdot(w, w))[:, None]
+        tau = ts - np.matmul(rows, body.center[:, None])[:, 0]
+    else:
+        d = as_direction(xi)
+        if d.n != body.n:
+            raise ValueError("direction dimension does not match the body")
+        v = d.components
+        ts, shape = _offsets(t)
+        hbar = body.centered_support(v)
+        tau = ts - float(body.center @ v)
     gap = np.maximum(hbar * hbar - tau * tau, 0.0)
     n = body.n
     out = unit_ball_volume(n - 1) / body._sqrt_det_shape * hbar ** (-n) * gap ** ((n - 1) / 2.0)
@@ -303,14 +349,30 @@ def section_volume_quadric(body, xi, t):
 
 def section_volume(body, xi, t):
     """Exact section volume at a scalar or an array of offsets, dispatching on
-    the body family."""
+    the body family.
+
+    xi is one direction, or an (m, n) stack of unit rows with offsets of shape
+    (m,) or (m, k); a stack gives a result of the offsets' shape whose row i
+    is A(xi_i, t_i).  An ellipsoid evaluates the stack as arrays (its rows
+    round like the one-direction call up to ``power``, a few ulp); a polytope,
+    whose piece structure belongs to one direction, and a quadric map it row
+    by row, bit for bit.
+    """
     if isinstance(body, Ellipsoid):
         return section_volume_ellipsoid(body, xi, t)
     if isinstance(body, Polytope):
-        return section_volume_polytope(body, xi, t)
-    if isinstance(body, QuadricDomain):
-        return section_volume_quadric(body, xi, t)
-    raise TypeError(f"no section engine for {type(body).__name__}")
+        engine = section_volume_polytope
+    elif isinstance(body, QuadricDomain):
+        engine = section_volume_quadric
+    else:
+        raise TypeError(f"no section engine for {type(body).__name__}")
+    if not _is_stack(xi):
+        return engine(body, xi, t)
+    D, ts, shape = _direction_stack(xi, t, body.n)
+    out = np.empty(ts.shape)
+    for i, row in enumerate(D):
+        out[i] = engine(body, row, ts[i])
+    return out.reshape(shape)
 
 
 def _box_corners(lo, hi):

@@ -1,8 +1,14 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tomoslice.detect as detect_module
 from tomoslice.bodies import (
     Direction,
     Ellipsoid,
@@ -199,3 +205,109 @@ def test_consistency_check_rejects_unbounded_probe():
     report = is_ellipsoid(random_ellipsoid(3, seed=1), seed=0)
     with pytest.raises(InfiniteSupportError):
         section_consistency_check(par, report, num_probes=10, seed=0)
+
+
+def test_consistency_check_makes_two_section_calls(monkeypatch):
+    calls = []
+    real = detect_module.section_volume
+
+    def counting(body, xi, t):
+        calls.append((body, np.shape(xi), np.shape(t)))
+        return real(body, xi, t)
+
+    monkeypatch.setattr(detect_module, "section_volume", counting)
+    body = random_ellipsoid(3, seed=5)
+    report = is_ellipsoid(body, seed=1)
+    for num in (25, 50):
+        calls.clear()
+        section_consistency_check(body, report, num_probes=num, seed=0)
+        # the input body at each offset and chord midpoint, then the recovery
+        shapes = [(shape_xi, shape_t) for _, shape_xi, shape_t in calls]
+        assert shapes == [((num, 3), (num, 2)), ((num, 3), (num,))]
+        assert calls[0][0] is body
+        recovered = calls[1][0]
+        assert isinstance(recovered, Ellipsoid) and recovered is not body
+        assert np.array_equal(recovered.center, report.recovered_center)
+        assert np.array_equal(recovered.shape, report.recovered_shape)
+
+
+@pytest.mark.parametrize("num_probes", [0, -3, 2.5, True, None])
+def test_consistency_check_rejects_bad_probe_count(num_probes):
+    body = random_ellipsoid(3, seed=5)
+    report = is_ellipsoid(body, seed=1)
+    with pytest.raises(ValueError, match="num_probes"):
+        section_consistency_check(body, report, num_probes=num_probes, seed=0)
+
+
+@pytest.mark.parametrize("constant_tol", [float("nan"), -1e-8])
+def test_consistency_check_rejects_bad_constant_tol(constant_tol):
+    cube = Polytope.cube(3)
+    fake = is_ellipsoid(random_ellipsoid(3, seed=1), seed=0)
+    with pytest.raises(ValueError, match="constant_tol"):
+        section_consistency_check(cube, fake, num_probes=30, seed=0, constant_tol=constant_tol)
+
+
+def test_is_ellipsoid_builds_one_direction_set(monkeypatch):
+    built = []
+    real = detect_module._direction_set
+
+    def counting(n, num_directions, seed):
+        built.append((n, num_directions, seed))
+        return real(n, num_directions, seed)
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("matrix_rank called")
+
+    # building a polytope checks its rank, so the cube is built first
+    cube = Polytope.cube(3)
+    monkeypatch.setattr(detect_module, "_direction_set", counting)
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+    for n in (2, 3, 4):
+        built.clear()
+        assert is_ellipsoid(random_ellipsoid(n, seed=n), num_directions=120, seed=2).accepted
+        assert built == [(n, 120, 2)]
+    built.clear()
+    assert not is_ellipsoid(cube, seed=0).accepted
+    assert built == [(3, 200, 0)]
+
+
+def test_planar_direction_set_is_rank_deficient(monkeypatch):
+    def planar(n, num_directions, seed):
+        angle = np.linspace(0.0, 2.0 * np.pi, num_directions, endpoint=False)
+        return np.column_stack([np.cos(angle), np.sin(angle), np.zeros((num_directions, n - 2))])
+
+    monkeypatch.setattr(detect_module, "_direction_set", planar)
+    body = random_ellipsoid(3, seed=5)
+    with pytest.raises(ValueError, match="direction set is rank deficient$"):
+        estimate_e(body, num_directions=40, seed=0)
+    with pytest.raises(ValueError, match="rank deficient for the quadratic basis"):
+        quadratic_fit(body, np.zeros(3), num_directions=40, seed=0)
+    with pytest.raises(ValueError, match="direction set is rank deficient$"):
+        is_ellipsoid(body, num_directions=40, seed=0)
+
+
+def test_detection_sweep_script_smoke(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "sweep.json"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "run_detection_sweep.py"),
+         "--num-ellipsoids", "3", "--num-directions", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    entries = json.loads(out.read_text())["bodies"]
+    assert sorted(entries) == ["cube_3d", "ellipsoid_2d_0", "ellipsoid_3d_1", "ellipsoid_4d_2", "simplex_3d", "square_2d"]
+    for label, entry in entries.items():
+        ms = [d["m"] for d in entry["directions"]]
+        assert len(ms) == 1, label
+        if label.startswith("ellipsoid"):
+            n = len(entry["body"]["center"])
+            assert entry["verdict"] == "accept", label
+            assert entry["section_replay_error"] <= 1e-6, label
+            assert ms == [1 if n % 2 else 2], label
+        else:
+            assert entry["verdict"] == "reject", label
+            assert "section_replay_error" not in entry
+            assert ms == [None], label

@@ -447,3 +447,112 @@ def test_mc_rejects_non_finite_box():
     for hi in (np.array([2.0, 2.0, np.inf]), np.array([2.0, np.nan, 4.0])):
         with pytest.raises(ValueError, match="finite"):
             section_volume_mc(par, unit([0, 0, -1]), -2.0, samples=1000, seed=0, box=(-hi, hi))
+
+
+# direction stacks
+
+
+def _unit_rows(G):
+    return G / np.sqrt(np.vecdot(G, G))[:, None]
+
+
+def _stack_cases():
+    """(body, direction stack, (m, k) offsets) per family: chord ends, inner
+    and outside offsets and NaN for bounded bodies, offsets on both sheets'
+    sides for the quadrics, whose rows stay inside the bounded-slice cone."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for n in (2, 3, 4, 5):
+        body = random_ellipsoid(n, seed=70 + n)
+        cases.append((body, _unit_rows(rng.standard_normal((40, n)))))
+    for body in (Polytope.cube(2), Polytope.cube(3)):
+        D = np.vstack([np.eye(body.n), _unit_rows(rng.standard_normal((12, body.n)))])
+        cases.append((body, D))
+    out = []
+    for body, D in cases:
+        T = np.empty((len(D), 8))
+        for i, d in enumerate(D):
+            lo, hi = chord_interval(body, d)
+            T[i] = [lo, hi, *rng.uniform(lo, hi, 3), lo - 0.5, hi + 0.5, np.nan]
+        out.append((body, D, T))
+    for body in (
+        QuadricDomain("paraboloid", np.array([1.0, 2.0])),
+        QuadricDomain("hyperboloid-sheet", np.array([1.0, 1.5]), 0.8),
+    ):
+        V = np.column_stack([rng.uniform(-0.3, 0.3, (20, 2)), rng.choice([-1.0, 1.0], 20)])
+        T = np.column_stack([rng.uniform(-6.0, 6.0, (20, 7)), np.full(20, np.nan)])
+        out.append((body, _unit_rows(V), T))
+    return out
+
+
+def test_direction_stack_matches_one_direction_calls():
+    for body, D, T in _stack_cases():
+        name = type(body).__name__
+        rows = np.array([section_volume(body, Direction(d), t) for d, t in zip(D, T)])
+        for offsets, want in ((T, rows), (T[:, 2], rows[:, 2])):
+            got = section_volume(body, D, offsets)
+            assert isinstance(got, np.ndarray) and got.shape == offsets.shape, name
+            if isinstance(body, Ellipsoid):
+                # hbar^-n is an array power here and a float ** in one call
+                assert np.array_equal(np.isnan(got), np.isnan(want)), name
+                assert np.array_equal(got == 0.0, want == 0.0), name
+                scale = np.where(want > 0.0, want, 1.0)
+                assert np.nanmax(np.abs(got - want) / scale) <= 1e-15, (name, body.n)
+                assert np.array_equal(section_volume_ellipsoid(body, D, offsets), got, equal_nan=True)
+            else:
+                assert np.array_equal(got, want, equal_nan=True), name
+
+
+def test_direction_stack_evenness():
+    for body, D, T in _stack_cases():
+        got = section_volume(body, -D, -T)
+        want = section_volume(body, D, T)
+        if isinstance(body, Polytope):
+            # the pieces are found from the other end of the chord
+            assert got == pytest.approx(want, abs=1e-12, nan_ok=True)
+        else:
+            assert np.array_equal(got, want, equal_nan=True), type(body).__name__
+
+
+def test_direction_stack_validation():
+    body = random_ellipsoid(3, seed=4)
+    D = _unit_rows(np.random.default_rng(0).standard_normal((4, 3)))
+    ts = np.zeros(4)
+    bad = D.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        section_volume(body, bad, ts)
+    bad = D.copy()
+    bad[2] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="unit Euclidean norm"):
+        section_volume(body, bad, ts)
+    with pytest.raises(ValueError, match="dimension 3"):
+        section_volume(body, D[:, :2], ts)
+    for offsets in (np.zeros(3), np.zeros((5, 2)), 0.0, np.zeros((4, 1, 1))):
+        with pytest.raises(ValueError, match="do not match a stack of 4 directions"):
+            section_volume(body, D, offsets)
+    # the row-by-row families check a stack the same way
+    with pytest.raises(ValueError, match="unit Euclidean norm"):
+        section_volume(Polytope.cube(3), 2.0 * D, ts)
+    with pytest.raises(ValueError, match="do not match"):
+        section_volume(Polytope.cube(3), D, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        QuadricDomain("paraboloid", np.array([1.0, 2.0])),
+        QuadricDomain("hyperboloid-sheet", np.array([1.0, 1.5]), 0.8),
+    ],
+    ids=["paraboloid", "hyperboloid-sheet"],
+)
+def test_section_evenness_quadrics(body):
+    rng = np.random.default_rng(8)
+    ts = np.linspace(-6.0, 6.0, 25)
+    for _ in range(30):
+        # a direction inside the bounded-slice cone of either sheet
+        v = np.append(rng.uniform(-0.3, 0.3, size=2), rng.choice([-1.0, 1.0]))
+        d = Direction.from_vector(v)
+        a = section_volume(body, d, ts)
+        assert np.any(a > 0.0)
+        assert np.array_equal(section_volume(body, -d, -ts), a)
