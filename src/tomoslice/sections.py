@@ -21,6 +21,7 @@ The other families map a stack row by row through their one-direction call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -375,84 +376,122 @@ def section_volume(body, xi, t):
     return out.reshape(shape)
 
 
-def _box_corners(lo, hi):
-    n = lo.size
-    for mask in range(2**n):
-        yield np.where([(mask >> j) & 1 for j in range(n)], hi, lo)
+def _householder_frame(v):
+    """Orthogonal (n, n) matrix with first row v and the other rows an
+    orthonormal basis of v-perp, from one Householder reflection.
+
+    H = I - 2 a a^T / (a.a) with a = v + sign(v_0) e_0 is symmetric and sends
+    e_0 to -sign(v_0) v, so its rows 1..n-1 are orthonormal and orthogonal
+    to v; the sign choice keeps a.a >= 2, away from cancellation.
+    """
+    a = v.copy()
+    a[0] += 1.0 if v[0] >= 0.0 else -1.0
+    Q = np.eye(v.size) - (2.0 / float(a @ a)) * np.outer(a, a)
+    Q[0] = v
+    return Q
 
 
 def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, box=None):
     """Monte Carlo slab estimate of the section volume.
 
-    Draws uniform points in an axis-aligned box, counts the fraction landing
-    in the body and in the slab {|x.xi - t| <= w}, and returns
-    Vol(box) * fraction / (2 w) together with the binomial standard error.
-    The generator is counter-based (Philox), so a fixed seed gives identical
-    results independent of batching.  The points are drawn as arrays of up
-    to 10^6 rows: ``random`` fills a batch and each column is mapped by
-    lo + (hi - lo)*u in place, the Philox stream and the map of numpy's
-    ``uniform(lo, hi)``, so the draws equal its draws bit for bit; only the
-    rows inside the slab reach ``contains_points``.
+    Estimates Vol(K intersect box intersect slab) / (2 w) for the slab
+    {|x.xi - t| <= w}, from nothing but the membership test and the box.
+    Points are drawn only in a region R aligned with xi that contains box
+    intersect slab: in the frame Q of ``_householder_frame`` (first row xi,
+    then a basis u_1..u_{n-1} of xi-perp), R is
+
+        [max(t - w, -h(-xi)), min(t + w, h(xi))] x prod_j [-h(-u_j), h(u_j)],
+
+    with h(q) = sum_i max(lo_i q_i, hi_i q_i) the box's support function.
+    ``ceil(samples * Vol(R) / Vol(box))`` uniform points of R are mapped to
+    x = s xi + sum_j z_j u_j, the rows inside the box go to
+    ``contains_points``, and with p the fraction of draws in K the result is
+    Vol(R) * p / (2 w) and its binomial standard error.  The expected number
+    of points in box intersect slab is the same as for ``samples`` uniform
+    points of the box, so ``samples`` keeps that meaning: the estimate is at
+    least as precise as a box draw of that many points (slightly less only
+    when a wide slab makes Vol(R) exceed Vol(box)).  The generator is
+    counter-based (Philox) and every row is mapped on its own, so a fixed
+    seed gives the same result at any batch size; the draws come as arrays
+    of up to 10^6 rows.
 
     Parameters
     ----------
     slab_halfwidth : float, optional
-        Defaults to 1e-3 times the chord width (bounded bodies only).
+        Positive and finite.  Defaults to 1e-3 times the chord width, or for
+        an unbounded body 1e-3 times the width of the box's projection onto
+        xi.
+    samples : int
+        Positive sample budget, counted over the box as described above.
     box : (lo, hi) pair of arrays or scalars, optional
-        Sampling box; a scalar bound applies to every coordinate.  Mandatory
-        for unbounded bodies, where it doubles as the truncation window of
-        the estimate.
+        Box, defaulting to ``bounding_box()``; a scalar bound applies to
+        every coordinate.  Mandatory for unbounded bodies, where it doubles
+        as the truncation window of the estimate.
+
+    A NaN offset gives (nan, nan), as in the exact engines; a slab that
+    misses the box gives (0.0, 0.0).
     """
     d = as_direction(xi)
-    if d.n != body.n:
+    n = body.n
+    if d.n != n:
         raise ValueError("direction dimension does not match the body")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if box is None:
         if isinstance(body, QuadricDomain):
             raise ValueError("unbounded body: supply a truncation box")
         lo, hi = body.bounding_box()
     else:
         # a scalar bound applies to every coordinate
-        lo = np.broadcast_to(np.asarray(box[0], dtype=float), body.n)
-        hi = np.broadcast_to(np.asarray(box[1], dtype=float), body.n)
+        lo = np.broadcast_to(np.asarray(box[0], dtype=float), n)
+        hi = np.broadcast_to(np.asarray(box[1], dtype=float), n)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("sampling box must be finite")
     if np.any(hi <= lo):
         raise ValueError("bounding box has nonpositive volume")
+    Q = _householder_frame(d.components)
+    # the box's support at every row of Q and -Q, in closed form
+    V = np.concatenate([Q, -Q])
+    h = np.maximum(V * lo, V * hi).sum(axis=1)
+    r_lo, r_hi = -h[n:], h[:n]
     if slab_halfwidth is None:
         try:
             t_lo, t_hi = chord_interval(body, d)
         except InfiniteSupportError:
             # unbounded body: scale the slab by the box extent along xi instead
-            proj = [float(c @ d.components) for c in _box_corners(lo, hi)]
-            t_lo, t_hi = min(proj), max(proj)
+            t_lo, t_hi = r_lo[0], r_hi[0]
         slab_halfwidth = 1e-3 * (t_hi - t_lo)
     w = float(slab_halfwidth)
-    if w <= 0:
-        raise ValueError("slab halfwidth must be positive")
-    span = hi - lo
-    box_volume = float(np.prod(span))
-    v = d.components
+    if not (math.isfinite(w) and w > 0.0):
+        raise ValueError(f"slab_halfwidth must be a positive finite number, got {slab_halfwidth!r}")
+    t = float(t)
+    if math.isnan(t):
+        return math.nan, math.nan
+    r_lo[0] = max(t - w, r_lo[0])
+    r_hi[0] = min(t + w, r_hi[0])
+    if not r_hi[0] > r_lo[0]:
+        return 0.0, 0.0
+    r_span = r_hi - r_lo
+    region_volume = float(np.prod(r_span))
+    draws = math.ceil(samples * region_volume / float(np.prod(hi - lo)))
     rng = np.random.Generator(np.random.Philox(seed))
     hits = 0
-    remaining = int(samples)
+    remaining = draws
     while remaining > 0:
         batch = min(remaining, 1_000_000)
-        X = rng.random((batch, body.n))
-        # uniform's lo + (hi - lo)*u, in place one column at a time, which
-        # beats a broadcast X *= span
-        for j in range(body.n):
-            col = X[:, j]
-            col *= span[j]
-            col += lo[j]
-        in_slab = np.abs(X @ v - float(t)) <= w
-        if np.any(in_slab):
-            hits += int(np.count_nonzero(body.contains_points(X[in_slab])))
+        Y = r_lo + r_span * rng.random((batch, n))
+        # x = Y @ Q, summed one frame row at a time so that every row rounds
+        # alike whatever the batch
+        X = Y[:, :1] * Q[0]
+        for j in range(1, n):
+            X += Y[:, j : j + 1] * Q[j]
+        in_box = np.all((X >= lo) & (X <= hi), axis=1)
+        if np.any(in_box):
+            hits += int(np.count_nonzero(body.contains_points(X[in_box])))
         remaining -= batch
-    p = hits / samples
-    estimate = box_volume * p / (2.0 * w)
-    stderr = box_volume * math.sqrt(p * (1.0 - p) / samples) / (2.0 * w)
+    p = hits / draws
+    estimate = region_volume * p / (2.0 * w)
+    stderr = region_volume * math.sqrt(p * (1.0 - p) / draws) / (2.0 * w)
     return estimate, stderr
 
 
@@ -494,7 +533,11 @@ def profile(
         required for unbounded bodies, where no chord interval exists.
     method : "exact" or "monte-carlo"
     samples, seed, slab_halfwidth
-        Monte Carlo controls; each grid point gets an independent spawned
+        Monte Carlo controls, passed to ``section_volume_mc`` at every grid
+        point: ``samples`` is the budget per point (the precision of that
+        many uniform points of the bounding box, although only the region
+        around the slab is drawn) and ``slab_halfwidth`` defaults to 1e-3
+        times the window width.  Each grid point gets an independent spawned
         stream, so the result does not depend on evaluation order.
     """
     d = as_direction(xi)

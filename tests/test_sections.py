@@ -405,35 +405,140 @@ def test_profile_makes_one_section_call(monkeypatch):
     assert calls == [64]
 
 
-def _mc_with_uniform(body, xi, t, w, samples, seed, lo, hi):
-    """The slab estimate drawn with numpy's broadcast ``uniform``."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    hits, remaining = 0, samples
-    while remaining > 0:
-        batch = min(remaining, 1_000_000)
-        X = rng.uniform(lo, hi, size=(batch, body.n))
-        in_slab = np.abs(X @ xi.components - t) <= w
-        hits += int(np.count_nonzero(body.contains_points(X[in_slab])))
-        remaining -= batch
-    p = hits / samples
-    box_volume = float(np.prod(hi - lo))
-    return box_volume * p / (2.0 * w), box_volume * math.sqrt(p * (1.0 - p) / samples) / (2.0 * w)
+def _slab_frame_reference(body, xi, t, w, samples, seed, lo, hi):
+    """The slab-frame estimate redrawn in one piece from raw Philox output,
+    with its draw count and the rows it tests: R in the Householder frame of
+    xi, mapped to x = s xi + U z, rows outside the box dropped."""
+    v = xi.components
+    n = v.size
+    a = v.copy()
+    a[0] += 1.0 if v[0] >= 0.0 else -1.0
+    Q = np.eye(n) - (2.0 / (a @ a)) * np.outer(a, a)
+    Q[0] = v
+    h_up = np.array([np.sum(np.maximum(lo * q, hi * q)) for q in Q])
+    h_down = np.array([np.sum(np.maximum(-lo * q, -hi * q)) for q in Q])
+    r_lo, r_hi = -h_down, h_up
+    r_lo[0], r_hi[0] = max(t - w, r_lo[0]), min(t + w, r_hi[0])
+    region_volume = float(np.prod(r_hi - r_lo))
+    draws = math.ceil(samples * region_volume / float(np.prod(hi - lo)))
+    Y = np.random.Generator(np.random.Philox(seed)).random((draws, n))
+    Y = r_lo + (r_hi - r_lo) * Y
+    X = Y[:, :1] * Q[0]
+    for j in range(1, n):
+        X = X + Y[:, j : j + 1] * Q[j]
+    rows = X[np.all((lo <= X) & (X <= hi), axis=1)]
+    p = np.count_nonzero(body.contains_points(rows)) / draws
+    estimate = region_volume * p / (2.0 * w)
+    return (estimate, region_volume * math.sqrt(p * (1.0 - p) / draws) / (2.0 * w)), draws, rows
 
 
-def test_mc_draws_equal_numpy_uniform():
+class _CountingGenerator(np.random.Generator):
+    """``np.random.Generator`` that records every batch drawn."""
+
+    batches = []
+
+    def random(self, size):
+        self.batches.append(size[0])
+        return super().random(size)
+
+
+def _mc_reference_cases():
     body = random_ellipsoid(3, seed=31)
     d = unit([0.4, -0.2, 0.9])
     lo, hi = body.bounding_box()
-    t = 0.2
-    for seed, samples in ((0, 50_000), (7, 50_001), (123, 1_000_003)):
-        got = section_volume_mc(body, d, t, slab_halfwidth=0.01, samples=samples, seed=seed)
-        assert got == _mc_with_uniform(body, d, t, 0.01, samples, seed, lo, hi), seed
-    par = QuadricDomain("hyperboloid-sheet", np.array([1.0, 0.8]), 0.7)
+    # the last slab covers the box, and R (about 3 box volumes) takes two batches
+    for seed, samples, w in ((0, 50_000, 0.01), (7, 50_001, 0.01), (123, 1_000_003, 0.01), (5, 400_000, 50.0)):
+        yield body, d, 0.2, w, samples, seed, None, (lo, hi)
+    sheet = QuadricDomain("hyperboloid-sheet", np.array([1.0, 0.8]), 0.7)
     box = (np.array([-2.0, -1.5, 0.0]), np.array([2.5, 1.5, 4.0]))
-    up = unit([0.1, 0.0, 1.0])
     for seed in (3, 4):
-        got = section_volume_mc(par, up, 2.0, slab_halfwidth=0.02, samples=200_000, seed=seed, box=box)
-        assert got == _mc_with_uniform(par, up, 2.0, 0.02, 200_000, seed, *box), seed
+        yield sheet, unit([0.1, 0.0, 1.0]), 2.0, 0.02, 200_000, seed, box, box
+
+
+def test_mc_draws_equal_slab_frame_reference(monkeypatch):
+    for body, d, t, w, samples, seed, box, (lo, hi) in _mc_reference_cases():
+        _CountingGenerator.batches = []
+        tested = []
+        real = type(body).contains_points
+
+        def recorded(self, X):
+            tested.append(X.copy())
+            return real(self, X)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "Generator", _CountingGenerator)
+            patch.setattr(type(body), "contains_points", recorded)
+            got = section_volume_mc(body, d, t, slab_halfwidth=w, samples=samples, seed=seed, box=box)
+        want, draws, rows = _slab_frame_reference(body, d, t, w, samples, seed, lo, hi)
+        assert got == want, (type(body).__name__, seed)
+        assert np.array_equal(np.concatenate(tested), rows)
+        # ceil(samples * Vol(R) / Vol(box)) points, in batches of at most 10^6
+        assert sum(_CountingGenerator.batches) == draws
+        assert max(_CountingGenerator.batches) <= 1_000_000
+        assert len(_CountingGenerator.batches) == -(-draws // 1_000_000)
+
+
+def test_mc_tests_only_rows_in_slab_and_box(monkeypatch):
+    tested = []
+    for body, d, t, w, samples, seed, box, (lo, hi) in _mc_reference_cases():
+        real = type(body).contains_points
+
+        def checked(self, X):
+            # in the slab up to the rounding of x = s xi + U z
+            assert np.all(np.abs(X @ d.components - t) <= w + 1e-12)
+            assert np.all((lo <= X) & (X <= hi))
+            tested.append(len(X))
+            return real(self, X)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(body), "contains_points", checked)
+            section_volume_mc(body, d, t, slab_halfwidth=w, samples=min(samples, 200_000), seed=seed, box=box)
+    assert len(tested) == 6 and min(tested) > 0
+
+
+def test_mc_precision_no_worse_than_box_draw():
+    # stderr against the analytic one of `samples` uniform points of the box
+    samples = 200_000
+    bodies = [random_ellipsoid(2 + k % 3, seed=900 + k) for k in range(30)] + [Polytope.cube(3)]
+    ratios = []
+    for k, body in enumerate(bodies):
+        rng = np.random.default_rng(950 + k)
+        d = Direction.from_vector(rng.standard_normal(body.n))
+        lo, hi = chord_interval(body, d)
+        t = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
+        w = 1e-3 * (hi - lo)
+        box_lo, box_hi = body.bounding_box()
+        box_volume = float(np.prod(box_hi - box_lo))
+        q = 2.0 * w * section_volume(body, d, t) / box_volume
+        box_stderr = box_volume * math.sqrt(q * (1.0 - q) / samples) / (2.0 * w)
+        _, err = section_volume_mc(body, d, t, samples=samples, seed=k)
+        ratios.append(err / box_stderr)
+    assert np.median(ratios) <= 1.0
+    assert max(ratios) <= 1.5
+
+
+def test_mc_nan_offset_gives_nan():
+    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
+    got = section_volume_mc(ball, E3, math.nan, samples=1000, seed=0)
+    assert all(math.isnan(x) for x in got)
+    assert math.isnan(section_volume(ball, E3, math.nan))
+
+
+def test_mc_rejects_bad_slab_halfwidth():
+    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
+    for w in (math.nan, math.inf, -math.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="slab_halfwidth"):
+            section_volume_mc(ball, E3, 0.0, slab_halfwidth=w, samples=1000, seed=0)
+
+
+def test_mc_rejects_bad_samples():
+    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
+    for samples in (2.5, True, 0, -3, None, "1000"):
+        with pytest.raises(ValueError, match="samples"):
+            section_volume_mc(ball, E3, 0.0, samples=samples, seed=0)
+    assert section_volume_mc(ball, E3, 0.0, samples=np.int64(5000), seed=2) == section_volume_mc(
+        ball, E3, 0.0, samples=5000, seed=2
+    )
 
 
 def test_mc_scalar_box_bounds_every_coordinate():
