@@ -34,7 +34,6 @@ from .sections import (
 )
 from .radon import (
     MomentReport,
-    centered_moment_identity_check,
     moment,
     range_test,
 )
@@ -48,6 +47,7 @@ from .algfit import (
     normalized_section_constant,
     predicted_boundary_constant,
     principal_curvatures,
+    quadric_check,
     root_structure,
 )
 from .detect import (
@@ -57,7 +57,7 @@ from .detect import (
     quadratic_fit,
     section_consistency_check,
 )
-from .cli import quadric_check
+from . import cli  # binds tomoslice.cli, which callers reach as an attribute
 
 __version__ = "0.1.0"
 
@@ -92,7 +92,6 @@ __all__ = [
     "section_volume_mc",
     "moment",
     "range_test",
-    "centered_moment_identity_check",
     "fit_power_polynomial",
     "detect_min_m",
     "root_structure",

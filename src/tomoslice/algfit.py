@@ -18,6 +18,7 @@ the two routes can be compared without sharing any code path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -34,14 +35,17 @@ from .bodies import (
     chord_interval,
     unit_ball_volume,
 )
-from .sections import SectionProfile, section_volume
+from .sections import profile, section_volume
 
 __all__ = [
     "AlgebraicFitReport",
     "RootStructureReport",
     "AsymptoticReport",
+    "power_fits",
+    "min_m_plan",
     "fit_power_polynomial",
     "detect_min_m",
+    "quadric_check",
     "root_structure",
     "normalized_section_constant",
     "exponent_estimate",
@@ -49,12 +53,16 @@ __all__ = [
     "predicted_boundary_constant",
     "DEFAULT_ACCEPT_TOL",
     "EFFECTIVE_DEGREE_CUTOFF",
+    "QUADRIC_TOL",
+    "QUADRIC_MAX_DEGREE",
 ]
 
 DEFAULT_ACCEPT_TOL = 1e-6
 REJECT_FLOOR = 1e-3
 EFFECTIVE_DEGREE_CUTOFF = 1e-9
 CONFORM_TOL = 1e-8
+QUADRIC_TOL = 1e-8
+QUADRIC_MAX_DEGREE = 8
 
 
 @dataclass(eq=False)
@@ -143,46 +151,74 @@ def _effective_degree(coefficients):
     return int(significant.max())
 
 
-def fit_power_polynomial(prof, m, degree):
-    """Fit A^m on the profile grid by a degree-``degree`` Chebyshev series.
+def _require_int(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
-    Requires at least 2*(degree+1) sample points so the least-squares system
-    stays comfortably overdetermined.  The residual is measured relative to
+
+def _require_tol(tol):
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
+def min_m_plan(n, m_max):
+    """The (m, m*(n-1)) pairs for m = 1..m_max: each power at its degree cap."""
+    _require_int("m_max", m_max, 1)
+    return [(m, m * (n - 1)) for m in range(1, m_max + 1)]
+
+
+def power_fits(prof, plan):
+    """Fit A^m by a degree-``degree`` Chebyshev series for each (m, degree)
+    pair of the sequence ``plan`` in turn, yielding one AlgebraicFitReport
+    per pair.
+
+    The grid is rescaled to s in [-1, 1] and the Chebyshev Vandermonde of the
+    plan's top degree is built once; each pair solves on a column prefix of
+    it, which equals its own-degree Vandermonde bit for bit.  A pair needs at
+    least 2*(degree+1) sample points so the least-squares system stays
+    comfortably overdetermined; that check, like the zero-profile one, runs
+    only when the iteration reaches the pair, so a search that stops early
+    never sees a later pair's error.  The residual is measured relative to
     the norm of the A^m samples.
     """
-    if m < 1:
-        raise ValueError("the power m must be a positive integer")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if len(prof) < 2 * (degree + 1):
-        raise ValueError(
-            f"profile has {len(prof)} points; degree {degree} needs at least {2 * (degree + 1)}"
-        )
-    y = prof.values**m
-    y_norm = float(np.linalg.norm(y))
-    if y_norm == 0.0:
-        raise ValueError("profile is identically zero on its grid")
+    for m, degree in plan:
+        _require_int("m", m, 1)
+        _require_int("degree", degree, 0)
     t_lo, t_hi = float(prof.grid[0]), float(prof.grid[-1])
     s = (2.0 * prof.grid - (t_lo + t_hi)) / (t_hi - t_lo)
-    V = C.chebvander(s, degree)
-    coef, *_ = np.linalg.lstsq(V, y, rcond=None)
-    residual = float(np.linalg.norm(V @ coef - y)) / y_norm
-    eff = _effective_degree(coef)
-    cap = m * (prof.n - 1)
-    return AlgebraicFitReport(
-        xi=prof.xi,
-        n=prof.n,
-        m=m,
-        degree=degree,
-        coefficients=coef,
-        t_lo=t_lo,
-        t_hi=t_hi,
-        relative_residual=residual,
-        effective_degree=eff,
-        degree_bound_ok=eff <= cap,
-        grid=prof.grid,
-        power_samples=y,
-    )
+    V = C.chebvander(s, max((degree for _, degree in plan), default=0))
+    for m, degree in plan:
+        if len(prof) < 2 * (degree + 1):
+            raise ValueError(
+                f"profile has {len(prof)} points; degree {degree} needs at least {2 * (degree + 1)}"
+            )
+        y = prof.values**m
+        y_norm = float(np.linalg.norm(y))
+        if y_norm == 0.0:
+            raise ValueError("profile is identically zero on its grid")
+        V_d = V[:, : degree + 1]
+        coef, *_ = np.linalg.lstsq(V_d, y, rcond=None)
+        eff = _effective_degree(coef)
+        yield AlgebraicFitReport(
+            xi=prof.xi,
+            n=prof.n,
+            m=m,
+            degree=degree,
+            coefficients=coef,
+            t_lo=t_lo,
+            t_hi=t_hi,
+            relative_residual=float(np.linalg.norm(V_d @ coef - y)) / y_norm,
+            effective_degree=eff,
+            degree_bound_ok=eff <= m * (prof.n - 1),
+            grid=prof.grid,
+            power_samples=y,
+        )
+
+
+def fit_power_polynomial(prof, m, degree):
+    """Fit A^m on the profile grid by a degree-``degree`` Chebyshev series:
+    the one-pair case of :func:`power_fits`."""
+    return next(power_fits(prof, [(m, degree)]))
 
 
 def detect_min_m(prof, m_max, tol=DEFAULT_ACCEPT_TOL):
@@ -192,13 +228,53 @@ def detect_min_m(prof, m_max, tol=DEFAULT_ACCEPT_TOL):
     (the honest negative: the body's sections are not polynomial-power along
     this direction at any tested m).
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    for m in range(1, m_max + 1):
-        report = fit_power_polynomial(prof, m, m * (prof.n - 1))
-        if report.relative_residual < tol:
-            return report
-    return None
+    _require_tol(tol)
+    fits = power_fits(prof, min_m_plan(prof.n, m_max))
+    return next((report for report in fits if report.relative_residual < tol), None)
+
+
+def quadric_check(body, xi, window=None, num_points=64, tol=QUADRIC_TOL):
+    """Fit powers of a quadric-domain section profile over a bounded window.
+
+    For m in {1, 2} the degree is grown from 0 until the relative residual
+    drops below ``tol`` (or QUADRIC_MAX_DEGREE is reached); the minimal
+    sufficient degree per power is reported.  The m = 2 row is the structural
+    claim under test; m = 1 is included because along special directions it
+    already suffices (axis profile of a paraboloid is linear in t).
+
+    The default window starts half a unit above the entry offset -h(-xi) and
+    spans 3.5 units, which for the axis direction of a paraboloid reduces to
+    offsets in [0.5, 4].
+    """
+    if not isinstance(body, QuadricDomain):
+        raise TypeError("quadric_check expects a quadric domain body")
+    _require_tol(tol)
+    if window is None:
+        entry = -body.support(-np.asarray(xi.components))
+        if not math.isfinite(entry):
+            raise InfiniteSupportError(
+                "no finite entry offset along this direction; pass an explicit window"
+            )
+        window = (entry + 0.5, entry + 4.0)
+    prof = profile(body, xi, num_points=num_points, margin=0.0, window=window)
+    if np.all(prof.values == 0.0):
+        raise ValueError("window misses the body: all section values vanish")
+    results = []
+    for m in (1, 2):
+        for rep in power_fits(prof, [(m, degree) for degree in range(QUADRIC_MAX_DEGREE + 1)]):
+            if rep.relative_residual < tol:
+                break
+        sufficient = rep.relative_residual < tol
+        results.append(
+            {
+                "m": m,
+                "min_degree": rep.degree if sufficient else None,
+                "relative_residual": rep.relative_residual,
+                "sufficient": sufficient,
+            }
+        )
+    verdict = "conforms" if results[1]["sufficient"] else "deviates"
+    return {"window": [float(window[0]), float(window[1])], "results": results, "verdict": verdict}
 
 
 def root_structure(report, h_plus, h_minus, conform_tol=CONFORM_TOL):

@@ -19,26 +19,15 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import algfit, detect, radon, sections
-from .bodies import (
-    Direction,
-    InfiniteSupportError,
-    QuadricDomain,
-    body_to_dict,
-    chord_interval,
-    load_body,
-)
+from .algfit import quadric_check
+from .bodies import Direction, body_to_dict, chord_interval, load_body
 
 __all__ = ["ExperimentConfig", "quadric_check", "run", "main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
-
-QUADRIC_TOL = 1e-8
-QUADRIC_MAX_DEGREE = 8
 
 
 @dataclass
@@ -104,53 +93,6 @@ def _csv_report(config, header, rows):
     return "\n".join(lines) + "\n"
 
 
-def quadric_check(body, xi, window=None, num_points=64, tol=QUADRIC_TOL, max_degree=QUADRIC_MAX_DEGREE):
-    """Fit powers of a quadric-domain section profile over a bounded window.
-
-    For m in {1, 2} the degree is grown from 0 until the relative residual
-    drops below ``tol`` (or ``max_degree`` is reached); the minimal sufficient
-    degree per power is reported.  The m = 2 row is the structural claim under
-    test; m = 1 is included because along special directions it already
-    suffices (axis profile of a paraboloid is linear in t).
-
-    The default window starts half a unit above the entry offset -h(-xi) and
-    spans 3.5 units, which for the axis direction of a paraboloid reduces to
-    offsets in [0.5, 4].
-    """
-    if not isinstance(body, QuadricDomain):
-        raise TypeError("quadric_check expects a quadric domain body")
-    if window is None:
-        entry = -body.support(-np.asarray(xi.components))
-        if not math.isfinite(entry):
-            raise InfiniteSupportError(
-                "no finite entry offset along this direction; pass an explicit window"
-            )
-        window = (entry + 0.5, entry + 4.0)
-    prof = sections.profile(body, xi, num_points=num_points, margin=0.0, window=window)
-    if np.all(prof.values == 0.0):
-        raise ValueError("window misses the body: all section values vanish")
-    results = []
-    for m in (1, 2):
-        found = None
-        last = None
-        for degree in range(0, max_degree + 1):
-            rep = algfit.fit_power_polynomial(prof, m, degree)
-            last = rep.relative_residual
-            if rep.relative_residual < tol:
-                found = (degree, rep.relative_residual)
-                break
-        results.append(
-            {
-                "m": m,
-                "min_degree": None if found is None else found[0],
-                "relative_residual": last if found is None else found[1],
-                "sufficient": found is not None,
-            }
-        )
-    verdict = "conforms" if results[1]["sufficient"] else "deviates"
-    return {"window": [float(window[0]), float(window[1])], "results": results, "verdict": verdict}
-
-
 def _cmd_profile(body, xi, config):
     prof = sections.profile(
         body,
@@ -182,14 +124,11 @@ def _cmd_moments(body, xi, config):
 
 
 def _cmd_algfit(body, xi, config):
+    plan = algfit.min_m_plan(body.n, config.m_max)
     prof = sections.profile(body, xi, num_points=config.grid, margin=config.margin)
-    sweep = []
-    winner = None
-    for m in range(1, config.m_max + 1):
-        rep = algfit.fit_power_polynomial(prof, m, m * (prof.n - 1))
-        sweep.append({"m": m, "degree": rep.degree, "relative_residual": rep.relative_residual})
-        if winner is None and rep.relative_residual < config.tol:
-            winner = rep
+    reports = list(algfit.power_fits(prof, plan))
+    sweep = [{"m": r.m, "degree": r.degree, "relative_residual": r.relative_residual} for r in reports]
+    winner = next((r for r in reports if r.relative_residual < config.tol), None)
     if winner is not None and (winner.m * (prof.n - 1)) % 2 == 0:
         lo, hi = chord_interval(body, xi)
         algfit.root_structure(winner, hi, -lo)
@@ -326,13 +265,16 @@ _DEFAULT_TOL = {
     "algfit": algfit.DEFAULT_ACCEPT_TOL,
     "detect": detect.DEFAULT_TOL_EXACT,
     "asymptote": 1e-6,
-    "quadric-check": QUADRIC_TOL,
+    "quadric-check": algfit.QUADRIC_TOL,
 }
 
 
 def run(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_bind_signed_values(argv))
+    tol = args.tol if args.tol is not None else _DEFAULT_TOL[args.command]
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"--tol must be a finite positive number, got {tol!r}")
     body = load_body(args.body)
     handler, needs_xi = _COMMANDS[args.command]
     xi = None
@@ -346,7 +288,6 @@ def run(argv=None):
         if len(parts) != 2:
             raise ValueError("--window must be LO,HI")
         window = [float(parts[0]), float(parts[1])]
-    tol = args.tol if args.tol is not None else _DEFAULT_TOL[args.command]
     config = ExperimentConfig(
         command=args.command,
         body=body_to_dict(body),

@@ -30,14 +30,12 @@ from .bodies import (
     as_direction,
     sample_directions,
 )
-from .sections import SectionProfile, section_volume
+from .sections import section_volume
 
 __all__ = [
     "MomentReport",
-    "CenteredMomentReport",
     "moment",
     "range_test",
-    "centered_moment_identity_check",
     "homogeneous_exponents",
     "monomial_design_matrix",
 ]
@@ -96,35 +94,11 @@ def _exact_quad_order(body, k):
     return k // 2 + 1
 
 
-def _clenshaw_curtis_weights(num):
-    # weights for Chebyshev-Lobatto nodes -cos(pi*j/n) on [-1, 1]
-    n = num - 1
-    if n <= 0:
-        raise ValueError("need at least two nodes")
-    theta = np.pi * np.arange(num) / n
-    w = np.zeros(num)
-    ii = np.arange(1, n)
-    vv = np.ones(n - 1)
-    if n % 2 == 0:
-        w[0] = w[n] = 1.0 / (n**2 - 1)
-        for k in range(1, n // 2):
-            vv -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k**2 - 1)
-        vv -= np.cos(n * theta[ii]) / (n**2 - 1)
-    else:
-        w[0] = w[n] = 1.0 / n**2
-        for k in range(1, (n - 1) // 2 + 1):
-            vv -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k**2 - 1)
-    w[ii] = 2.0 * vv / n
-    return w
-
-
 def moment(target, xi, k, quad_order=None):
     """k-th t-moment of the section profile along xi.
 
-    ``target`` may be a bounded body (the exact section engine is integrated
-    with a rule adapted to the body family) or a SectionProfile (integrated
-    over its own grid with Clenshaw-Curtis weights, which are exact for the
-    Chebyshev-Lobatto grids produced by :func:`tomoslice.sections.profile`).
+    ``target`` is a bounded body; its exact section engine is integrated with
+    a rule adapted to the body family.
 
     ``quad_order=None`` picks the exact order for the body: ceil((n + k) / 2)
     Gauss-Legendre nodes per polytope piece, ceil((k + 1) / 2) Gauss-Jacobi
@@ -135,11 +109,6 @@ def moment(target, xi, k, quad_order=None):
     k = int(k)
     if quad_order is not None and (quad_order != int(quad_order) or quad_order < 1):
         raise ValueError("quad_order must be a positive integer")
-    if isinstance(target, SectionProfile):
-        grid, values = target.grid, target.values
-        half = 0.5 * (grid[-1] - grid[0])
-        w = _clenshaw_curtis_weights(grid.size) * half
-        return float(np.sum(w * values * grid**k))
     d = as_direction(xi)
     if d.n != target.n:
         raise ValueError("direction dimension does not match the body")
@@ -259,49 +228,4 @@ def range_test(body, k, num_directions, seed=0, quad_order=None):
         absolute_residual=absolute,
         seed=seed,
         quad_order=_exact_quad_order(body, k) if quad_order is None else quad_order,
-    )
-
-
-@dataclass(eq=False)
-class CenteredMomentReport:
-    num_directions: int
-    max_abs_deviation: float
-    max_rel_deviation: float
-    tol: float
-
-    @property
-    def passed(self):
-        return self.max_rel_deviation < self.tol
-
-    def to_dict(self):
-        return {
-            "num_directions": self.num_directions,
-            "max_abs_deviation": self.max_abs_deviation,
-            "max_rel_deviation": self.max_rel_deviation,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
-def centered_moment_identity_check(body, seed=0, num_directions=50, tol=1e-8, quad_order=None):
-    """Check M_1(xi) = M_0 * (center.xi) across a direction sample.
-
-    The first moment of a section profile is the integral of x.xi over the
-    body, which for an ellipsoid is volume times center.xi.  Deviations are
-    reported relative to M_0 * max(||center||, 1), so centered bodies are
-    judged on an absolute scale instead of a 0/0 ratio.
-    """
-    if not isinstance(body, Ellipsoid):
-        raise TypeError("the centered-moment identity is stated for ellipsoids")
-    dirs = sample_directions(body.n, num_directions, seed=seed)
-    m0 = np.array([moment(body, Direction(d), 0, quad_order=quad_order) for d in dirs])
-    m1 = np.array([moment(body, Direction(d), 1, quad_order=quad_order) for d in dirs])
-    predicted = m0 * (dirs @ body.center)
-    dev = np.abs(m1 - predicted)
-    scale = abs(float(np.mean(m0))) * max(float(np.linalg.norm(body.center)), 1.0)
-    return CenteredMomentReport(
-        num_directions=num_directions,
-        max_abs_deviation=float(dev.max()),
-        max_rel_deviation=float(dev.max()) / max(scale, _RESIDUAL_GUARD),
-        tol=tol,
     )

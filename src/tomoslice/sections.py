@@ -532,6 +532,7 @@ def profile(
         Explicit offset window, used exactly as given (margin does not apply);
         required for unbounded bodies, where no chord interval exists.
     method : "exact" or "monte-carlo"
+        The Monte Carlo profile needs a bounded body.
     samples, seed, slab_halfwidth
         Monte Carlo controls, passed to ``section_volume_mc`` at every grid
         point: ``samples`` is the budget per point (the precision of that
@@ -561,6 +562,8 @@ def profile(
         return SectionProfile(d, grid, values, body.n, EXACT)
     if method != MONTE_CARLO:
         raise ValueError(f"unknown profile method {method!r}")
+    if isinstance(body, QuadricDomain):
+        raise ValueError("the Monte Carlo profile needs a bounded body")
     if slab_halfwidth is None:
         slab_halfwidth = 1e-3 * width
     streams = np.random.SeedSequence(seed).spawn(num_points)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
+import tomoslice.algfit as algfit_module
+from tomoslice import cli
 from tomoslice.bodies import (
     Direction,
     Ellipsoid,
@@ -11,16 +14,22 @@ from tomoslice.bodies import (
     chord_interval,
     random_ellipsoid,
     random_rotation,
+    random_simplex,
+    save_body,
     unit_ball_volume,
 )
 from tomoslice.algfit import (
+    QUADRIC_MAX_DEGREE,
     AlgebraicFitReport,
     detect_min_m,
     exponent_estimate,
     fit_power_polynomial,
+    min_m_plan,
     normalized_section_constant,
+    power_fits,
     predicted_boundary_constant,
     principal_curvatures,
+    quadric_check,
     root_structure,
 )
 from tomoslice.sections import profile
@@ -127,6 +136,141 @@ def test_fit_needs_enough_samples():
     prof = profile(body, d, num_points=16, margin=0.0)
     with pytest.raises(ValueError):
         fit_power_polynomial(prof, 1, 8)
+
+
+# the shared power-fit sweep
+
+
+def reference_fit(prof, m, degree):
+    """One fit on a freshly built own-degree Vandermonde, as each fit was
+    computed before the sweep shared one: coefficients, residual, effective
+    degree and the degree-bound verdict."""
+    y = prof.values**m
+    t_lo, t_hi = float(prof.grid[0]), float(prof.grid[-1])
+    s = (2.0 * prof.grid - (t_lo + t_hi)) / (t_hi - t_lo)
+    V = chebyshev.chebvander(s, degree)
+    coef, *_ = np.linalg.lstsq(V, y, rcond=None)
+    residual = float(np.linalg.norm(V @ coef - y)) / float(np.linalg.norm(y))
+    mags = np.abs(coef)
+    eff = int(np.nonzero(mags > 1e-9 * mags.max())[0].max()) if mags.max() > 0.0 else 0
+    return coef, residual, eff, eff <= m * (prof.n - 1)
+
+
+def sweep_profiles():
+    profs = []
+    for n in (2, 3, 4, 5):
+        for seed in (1, 2):
+            profs.append(ellipsoid_profile(n, seed=50 * n + seed)[2])
+    for body, v in (
+        (Polytope.cube(3), [1.0, 1.0, 1.0]),
+        (Polytope.cube(3), [0.3, -0.5, 0.8]),
+        (Polytope.cube(2), [1.0, 0.4]),
+        (random_simplex(3, seed=4), [0.2, 0.9, -0.4]),
+        (random_simplex(2, seed=5), [-0.6, 0.8]),
+    ):
+        profs.append(profile(body, Direction.from_vector(v), num_points=96, margin=0.0))
+    par = QuadricDomain("paraboloid", np.array([1.0, 0.7]))
+    hyp = QuadricDomain("hyperboloid-sheet", np.array([1.0, 1.3]), 0.9)
+    for body, v, window in (
+        (par, [0.0, 0.0, 1.0], (0.5, 4.0)),
+        (par, [0.2, -0.1, 1.0], (0.5, 3.0)),
+        (hyp, [0.0, 0.0, 1.0], (1.5, 5.0)),
+        (hyp, [0.1, 0.2, 1.0], (2.0, 4.0)),
+    ):
+        profs.append(profile(body, Direction.from_vector(v), num_points=64, margin=0.0, window=window))
+    return profs
+
+
+def test_power_fits_equal_own_degree_fits():
+    checked = 0
+    for prof in sweep_profiles():
+        plans = [min_m_plan(prof.n, 6)]
+        plans += [[(m, d) for d in range(QUADRIC_MAX_DEGREE + 1)] for m in (1, 2)]
+        for plan in plans:
+            reports = list(power_fits(prof, plan))
+            assert [(r.m, r.degree) for r in reports] == plan
+            for rep, (m, degree) in zip(reports, plan):
+                coef, residual, eff, bound_ok = reference_fit(prof, m, degree)
+                assert np.array_equal(rep.coefficients, coef)
+                assert rep.relative_residual == residual
+                assert rep.effective_degree == eff
+                assert rep.degree_bound_ok == bound_ok
+                checked += 1
+    assert checked == 17 * (6 + 2 * (QUADRIC_MAX_DEGREE + 1))
+
+
+class CountingChebyshev:
+    """Stands in for algfit's chebyshev module and counts its Vandermonde
+    builds; everything else passes through to numpy."""
+
+    def __init__(self):
+        self.vanders = 0
+
+    def __getattr__(self, name):
+        return getattr(chebyshev, name)
+
+    def chebvander(self, x, deg):
+        self.vanders += 1
+        return chebyshev.chebvander(x, deg)
+
+
+def test_one_vandermonde_per_search(monkeypatch, tmp_path):
+    counter = CountingChebyshev()
+    monkeypatch.setattr(algfit_module, "C", counter)
+    for body, code in ((random_ellipsoid(3, seed=6), 0), (Polytope.cube(3), 2)):
+        save_body(body, tmp_path / "body.json")
+        before = counter.vanders
+        args = ["algfit", "--body", str(tmp_path / "body.json"), "--xi", "0.3,0.5,0.8", "--m-max", "5"]
+        assert cli.main(args + ["--out", str(tmp_path / "fit.json")]) == code
+        assert counter.vanders - before == 1
+    odd = ellipsoid_profile(3, seed=5)[2]
+    cube = profile(Polytope.cube(3), Direction.from_vector([1.0, 1.0, 1.0]), num_points=96, margin=0.0)
+    for prof, m in ((odd, 1), (cube, None)):
+        before = counter.vanders
+        win = detect_min_m(prof, m_max=6)
+        assert (None if win is None else win.m) == m
+        assert counter.vanders - before == 1
+    par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
+    before = counter.vanders
+    assert quadric_check(par, Direction.from_vector([0.0, 0.0, 1.0]))["verdict"] == "conforms"
+    assert counter.vanders - before == 2
+
+
+def test_detect_min_m_never_reaches_a_later_pair():
+    body = random_ellipsoid(4, seed=8)
+    prof = profile(body, rand_dir(4, 9), num_points=16, margin=0.0)
+    win = detect_min_m(prof, m_max=4)
+    assert win is not None and win.m == 2
+    # m = 3 asks for degree 9, which needs 20 points
+    with pytest.raises(ValueError, match="needs at least 20"):
+        list(power_fits(prof, min_m_plan(4, 4)))
+
+
+@pytest.mark.parametrize(
+    "m, degree, name",
+    [(2.5, 4, "m"), (True, 2, "m"), (0, 2, "m"), (1, True, "degree"), (1, 2.0, "degree"), (1, -1, "degree")],
+)
+def test_fit_rejects_bad_power_or_degree(m, degree, name):
+    prof = ellipsoid_profile(3, seed=12)[2]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        fit_power_polynomial(prof, m, degree)
+
+
+@pytest.mark.parametrize("m_max", [True, 0, -1, 2.0])
+def test_detect_min_m_rejects_bad_m_max(m_max):
+    prof = ellipsoid_profile(3, seed=12)[2]
+    with pytest.raises(ValueError, match="^m_max must be an integer"):
+        detect_min_m(prof, m_max)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_searches_reject_bad_tol(tol):
+    prof = ellipsoid_profile(3, seed=12)[2]
+    with pytest.raises(ValueError, match="^tol must be a finite positive number"):
+        detect_min_m(prof, 4, tol=tol)
+    par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="^tol must be a finite positive number"):
+        quadric_check(par, Direction.from_vector([0.0, 0.0, 1.0]), tol=tol)
 
 
 # root structure

@@ -153,6 +153,38 @@ def test_quadric_check_explicit_window(body_dir):
     assert rep["window"] == [1.0, 3.0]
 
 
+@pytest.mark.parametrize("command", ["algfit", "quadric-check"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+def test_bad_tol_is_an_error(body_dir, capsys, command, tol):
+    out = body_dir / "out.json"
+    args = [command, "--body", body_dir / "par.json", "--xi", "0,0,1", "--tol", tol, "--out", out]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error: --tol must be a finite positive number")
+    assert not out.exists()
+
+
+def test_algfit_m_max_below_one_is_an_error(body_dir, capsys):
+    for m_max in ("0", "-2"):
+        args = ["algfit", "--body", body_dir / "ell.json", "--xi", "0,0,1", "--m-max", m_max]
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err.startswith("error: m_max must be an integer >= 1")
+
+
+def test_bare_package_import_binds_cli_and_quadric_check():
+    import tomoslice
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tomoslice.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import tomoslice\n"
+        "assert callable(tomoslice.cli.main)\n"
+        "assert tomoslice.quadric_check is tomoslice.cli.quadric_check is tomoslice.algfit.quadric_check\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_reports_are_byte_identical_across_runs(body_dir):
     pairs = []
     for label, args in (

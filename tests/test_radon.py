@@ -21,13 +21,11 @@ from tomoslice.bodies import (
 )
 from tomoslice.radon import (
     MomentReport,
-    centered_moment_identity_check,
     homogeneous_exponents,
     moment,
     monomial_design_matrix,
     range_test,
 )
-from tomoslice.sections import profile
 
 E1 = Direction(np.array([1.0, 0.0, 0.0]))
 E3 = Direction(np.array([0.0, 0.0, 1.0]))
@@ -124,14 +122,6 @@ def test_moment_rejects_unbounded_body():
         moment(par, Direction.from_vector([0, 0, -1]), 0)
 
 
-def test_profile_moment_matches_body_moment():
-    body = random_ellipsoid(3, seed=40)
-    d = Direction.from_vector([0.3, -1.0, 0.4])
-    prof = profile(body, d, num_points=96, margin=0.0)
-    for k in range(3):
-        assert moment(prof, d, k) == pytest.approx(moment(body, d, k), rel=1e-8, abs=1e-12)
-
-
 def test_homogeneous_exponents_graded():
     exps = homogeneous_exponents(3, 2)
     assert len(exps) == 6
@@ -156,16 +146,6 @@ def test_range_test_needs_enough_directions():
     body = random_ellipsoid(3, seed=3)
     with pytest.raises(ValueError):
         range_test(body, 2, num_directions=8, seed=0)
-
-
-def test_centered_moment_identity():
-    body = random_ellipsoid(3, seed=12)
-    rep = centered_moment_identity_check(body, num_directions=30, seed=5)
-    assert rep.passed
-    assert rep.max_rel_deviation < 1e-9
-    skew = body.translated([0.5, -0.2, 0.1])
-    rep2 = centered_moment_identity_check(skew, num_directions=30, seed=5)
-    assert rep2.max_rel_deviation < 1e-9
 
 
 def test_moment_report_serialization():
