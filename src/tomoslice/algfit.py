@@ -27,7 +27,6 @@ from numpy.polynomial import chebyshev as C
 
 from .bodies import (
     Direction,
-    Ellipsoid,
     InfiniteSupportError,
     Polytope,
     QuadricDomain,

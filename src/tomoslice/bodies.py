@@ -2,12 +2,13 @@
 
 Three body families are supported.  Ellipsoids are given by a center c and a
 symmetric positive definite shape matrix M, as the set {x : (x-c)^T M (x-c) <= 1}.
-Polytopes (dimensions 2 and 3 only) are given by their vertex list and queried
-through on-demand facet enumeration.  Quadric domains are the two unbounded
-convex model surfaces: the epigraph of an elliptic paraboloid and the convex
-region bounded by one sheet of a two-sheet elliptic hyperboloid.  Unbounded
-bodies report an infinite support value for directions outside their dual cone
-instead of raising, so callers can filter directions.
+Polytopes, in any dimension n >= 2, are given by their vertex list; their
+facets and a triangulation come from one convex hull, computed at
+construction.  Quadric domains are the two unbounded convex model surfaces:
+the epigraph of an elliptic paraboloid and the convex region bounded by one
+sheet of a two-sheet elliptic hyperboloid.  Unbounded bodies report an
+infinite support value for directions outside their dual cone instead of
+raising, so callers can filter directions.
 
 Every ``support`` takes one direction, an array of shape (n,), and returns a
 float, or a stack of directions, an array of shape (m, n), and returns an
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -232,45 +233,29 @@ class Ellipsoid:
         return Ellipsoid(R @ self.center, R @ self.shape @ R.T)
 
 
-def _hull_2d(vertices):
-    """Monotone-chain hull; returns vertex indices in ccw boundary order."""
-    order = np.lexsort((vertices[:, 1], vertices[:, 0]))
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for idx in order:
-        p = vertices[idx]
-        while len(lower) >= 2 and cross(vertices[lower[-2]], vertices[lower[-1]], p) <= 0:
-            lower.pop()
-        lower.append(idx)
-    for idx in order[::-1]:
-        p = vertices[idx]
-        while len(upper) >= 2 and cross(vertices[upper[-2]], vertices[upper[-1]], p) <= 0:
-            upper.pop()
-        upper.append(idx)
-    return lower[:-1] + upper[:-1]
-
-
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """Convex polytope in dimension 2 or 3 given by its vertex list.
+    """Convex polytope in any dimension n >= 2 given by its vertex list.
 
-    Every input vertex must be extreme.  Facet inequalities A x <= b are
-    enumerated at construction and membership is the plain conjunction of
-    those inequalities, with no tolerance, so boundary points are inside.
+    Every input vertex must be extreme.  The convex hull is computed once, at
+    construction.  Its facet inequalities A x <= b give membership, the plain
+    conjunction of those inequalities with no tolerance, so boundary points
+    are inside.  Its triangulated facets give a triangulation of the body:
+    the cone from vertex 0 over every facet simplex, less the simplices of
+    zero volume, stored as an (S, n + 1) index array with the S simplex
+    volumes |det| / n!.
     """
 
     vertices: np.ndarray
     _facet_normals: np.ndarray = field(init=False, repr=False)
     _facet_offsets: np.ndarray = field(init=False, repr=False)
-    _edges: tuple = field(init=False, repr=False)
+    _simplices: np.ndarray = field(init=False, repr=False)
+    _simplex_volumes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         V = np.asarray(self.vertices, dtype=float)
-        if V.ndim != 2 or V.shape[1] not in (2, 3):
-            raise ValueError("vertices must be an (m, n) array with n in {2, 3}")
+        if V.ndim != 2 or V.shape[1] < 2:
+            raise ValueError("vertices must be an (m, n) array with n >= 2")
         if not np.all(np.isfinite(V)):
             raise ValueError("vertices must be finite")
         n = V.shape[1]
@@ -278,42 +263,27 @@ class Polytope:
             raise ValueError("need at least n + 1 vertices")
         if np.linalg.matrix_rank(V - V[0]) < n:
             raise ValueError("vertices must be affinely independent (full-dimensional body)")
-        if n == 2:
-            boundary = _hull_2d(V)
-            if len(set(boundary)) != V.shape[0]:
-                raise ValueError("every vertex must be extreme (no duplicates, none interior)")
-            edges = [(boundary[i], boundary[(i + 1) % len(boundary)]) for i in range(len(boundary))]
-            normals, offsets = [], []
-            for i, j in edges:
-                e = V[j] - V[i]
-                nrm = np.array([e[1], -e[0]])
-                nrm /= np.linalg.norm(nrm)
-                # orient outward: the other vertices sit on the <= side
-                if np.max(V @ nrm) > V[i] @ nrm + 1e-12:
-                    nrm = -nrm
-                normals.append(nrm)
-                offsets.append(V[i] @ nrm)
-        else:
-            from scipy.spatial import ConvexHull, QhullError
+        from scipy.spatial import ConvexHull, QhullError
 
-            try:
-                hull = ConvexHull(V)
-            except QhullError as exc:
-                raise ValueError("vertices must span a full-dimensional body") from exc
-            if len(set(hull.vertices.tolist())) != V.shape[0]:
-                raise ValueError("every vertex must be extreme (no duplicates, none interior)")
-            normals = hull.equations[:, :3]
-            offsets = -hull.equations[:, 3]
-            edge_set = set()
-            for simplex in hull.simplices:
-                for i, j in combinations(sorted(simplex.tolist()), 2):
-                    edge_set.add((i, j))
-            edges = sorted(edge_set)
+        try:
+            hull = ConvexHull(V)
+        except QhullError as exc:
+            raise ValueError("vertices must span a full-dimensional body") from exc
+        if len(set(hull.vertices.tolist())) != V.shape[0]:
+            raise ValueError("every vertex must be extreme (no duplicates, none interior)")
+        normals = hull.equations[:, :n]
+        offsets = -hull.equations[:, n]
+        cone = np.column_stack([np.zeros(len(hull.simplices), dtype=int), hull.simplices])
+        volumes = np.abs(np.linalg.det(V[cone[:, 1:]] - V[cone[:, :1]])) / math.factorial(n)
+        # facets through vertex 0, and the flat pieces qhull's triangulation
+        # can leave in a facet, span simplices of zero volume
+        kept = volumes > 1e-12 * hull.volume
         object.__setattr__(self, "vertices", V.copy())
-        object.__setattr__(self, "_facet_normals", np.asarray(normals, dtype=float))
-        object.__setattr__(self, "_facet_offsets", np.asarray(offsets, dtype=float))
-        object.__setattr__(self, "_edges", tuple(edges))
-        for arr in (self.vertices, self._facet_normals, self._facet_offsets):
+        object.__setattr__(self, "_facet_normals", normals)
+        object.__setattr__(self, "_facet_offsets", offsets)
+        object.__setattr__(self, "_simplices", cone[kept])
+        object.__setattr__(self, "_simplex_volumes", volumes[kept])
+        for arr in (self.vertices, self._facet_normals, self._facet_offsets, self._simplices, self._simplex_volumes):
             arr.setflags(write=False)
 
     @classmethod
@@ -324,10 +294,6 @@ class Polytope:
     @property
     def n(self):
         return self.vertices.shape[1]
-
-    @property
-    def edges(self):
-        return self._edges
 
     def support(self, v):
         """Largest vertex height along v, for one vector (a float) or each

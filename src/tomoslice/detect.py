@@ -13,7 +13,6 @@ input body's own section engine.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 

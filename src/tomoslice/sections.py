@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,90 +209,54 @@ def section_volume_ellipsoid(body, xi, t):
     return _shaped(out, ts, shape)
 
 
-def _plane_frame(normal):
-    """Orthonormal basis of the hyperplane normal to ``normal``, as columns."""
-    if normal.size == 2:
-        return np.array([[-normal[1]], [normal[0]]])
-    k = int(np.argmin(np.abs(normal)))
-    u = np.zeros(3)
-    u[k] = 1.0
-    u -= (u @ normal) * normal
-    u /= np.linalg.norm(u)
-    a, b, c = normal
-    w = np.array([b * u[2] - c * u[1], c * u[0] - a * u[2], a * u[1] - b * u[0]])
-    return np.column_stack([u, w])
-
-
 def section_volume_polytope(body, xi, t):
-    """Exact section volume of a 2-d or 3-d polytope, for a scalar or an array
-    of offsets.
+    """Exact section volume of a polytope in any dimension n >= 2, for a
+    scalar or an array of offsets.
 
-    The distinct vertex heights xi.v split the chord into pieces.  Inside one
-    piece the cutting plane crosses the same hull edges in the same cyclic
-    order, so both are found once per piece, at its midpoint.  Each crossing
-    point moves linearly in t, and the section is the segment between the two
-    crossings (n = 2) or the polygon through them, measured by the shoelace
-    formula in an in-plane frame (n = 3).  An offset on a breakpoint uses the
-    piece it closes; that limit is continuous, and a facet-parallel slice at
-    the support value returns the facet's area.
+    For a simplex S with vertices v_0..v_n, A(xi, t) = vol(S) M(t), where M
+    is the normalized B-spline of order n (degree n - 1, integral 1) whose
+    knots are the vertex heights xi.v_i (Curry & Schoenberg 1966; de Boor, A
+    Practical Guide to Splines).  The polytope's A is the sum of these over
+    the triangulation stored on the body.  M comes from the recurrence
+
+        M_{i,1}(t) = 1 / (x_{i+1} - x_i) on the span (x_i, x_{i+1}],
+        M_{i,r}(t) = r / (r - 1) * ((t - x_i) M_{i,r-1}(t)
+                     + (x_{i+r} - t) M_{i+1,r-1}(t)) / (x_{i+r} - x_i),
+
+    evaluated for every offset and simplex at once, with zero-width spans
+    giving 0.  Pieces are left-continuous, except that an offset at the
+    lowest vertex height takes the right limit, so a facet-parallel slice at
+    either end of the chord returns the facet's area.
     """
     if not isinstance(body, Polytope):
         raise TypeError("section_volume_polytope expects a Polytope")
     d = as_direction(xi)
     if d.n != body.n:
         raise ValueError("direction dimension does not match the body")
-    v = d.components
-    h = body.vertices @ v
-    coords = body.vertices @ _plane_frame(v)
-    brk = np.sort(h)
-    brk = brk[np.concatenate(([True], np.diff(brk) > 0.0))]
-    rank = np.searchsorted(brk, h)
-    # orient every edge upward and keep those that span at least one piece
-    edges = np.asarray(body.edges)
-    up = h[edges[:, 0]] <= h[edges[:, 1]]
-    lo = np.where(up, edges[:, 0], edges[:, 1])
-    hi = np.where(up, edges[:, 1], edges[:, 0])
-    spans = rank[lo] < rank[hi]
-    lo, hi = lo[spans], hi[spans]
-    rise = h[hi] - h[lo]
-    run = coords[hi] - coords[lo]
-    piece_ids = np.arange(brk.size - 1)[:, None]
-    crossed = (rank[lo] <= piece_ids) & (piece_ids < rank[hi])  # (pieces, edges)
-
-    # the crossing point of every edge at every piece midpoint
-    mid = 0.5 * (brk[:-1] + brk[1:])
-    at_mid = coords[lo] + ((mid[:, None] - h[lo]) / rise)[..., None] * run
-    count = crossed.sum(axis=1)
-    center = (at_mid * crossed[..., None]).sum(axis=1) / count[:, None]
-    if body.n == 2:
-        order = np.argsort(~crossed, axis=1, kind="stable")[:, :2]
-    else:
-        rel = at_mid - center[:, None, :]
-        angle = np.where(crossed, np.arctan2(rel[..., 1], rel[..., 0]), np.inf)
-        order = np.argsort(angle, axis=1)[:, : count.max()]
-        # pad short cycles with their first edge: the padding adds zero area
-        order = np.where(np.arange(order.shape[1]) < count[:, None], order, order[:, :1])
-
+    h = body.vertices @ d.components
+    x = np.sort(h[body._simplices], axis=1)  # (S, n + 1) knots
     ts, shape = _offsets(t)
     out = np.zeros(ts.size)
-    inside = (ts >= brk[0]) & (ts <= brk[-1])
-    s = ts[inside]
-    piece = np.clip(np.searchsorted(brk, s) - 1, 0, brk.size - 2)
-    e = order[piece]
-    lam = (s[:, None] - h[lo[e]]) / rise[e]
-    x = coords[lo[e], 0] + lam * run[e, 0] - center[piece, 0, None]
-    if body.n == 2:
-        out[inside] = np.abs(x[:, 0] - x[:, 1])
-        return _shaped(out, ts, shape)
-    y = coords[lo[e], 1] + lam * run[e, 1] - center[piece, 1, None]
-    # shoelace, accumulated column by column so that every offset's value is
-    # independent of how many offsets share the call
-    twice_area = np.zeros(s.size)
-    for c in range(e.shape[1]):
-        c1 = (c + 1) % e.shape[1]
-        twice_area += x[:, c] * y[:, c1] - x[:, c1] * y[:, c]
-    out[inside] = 0.5 * np.abs(twice_area)
+    low = h.min()
+    inside = (ts >= low) & (ts <= h.max())
+    s = ts[inside][:, None, None]
+    # spans starting at the lowest height are open to the left, which gives
+    # the right limit there
+    opens = np.where(x[:, :-1] == low, -np.inf, x[:, :-1])
+    width = x[:, 1:] - x[:, :-1]
+    M = np.where((opens < s) & (s <= x[:, 1:]), _guarded_ratio(1.0, width), 0.0)
+    for r in range(2, body.n + 1):
+        lo, hi = x[:, :-r], x[:, r:]
+        M = _guarded_ratio(r / (r - 1), hi - lo) * ((s - lo) * M[..., :-1] + (hi - s) * M[..., 1:])
+    # a running sum adds the simplices in one fixed order, so every offset's
+    # value is independent of how many offsets share the call
+    out[inside] = np.cumsum(M[..., 0] * body._simplex_volumes, axis=1)[:, -1]
     return _shaped(out, ts, shape)
+
+
+def _guarded_ratio(a, width):
+    """a / width, with 0 where a span has zero width."""
+    return np.divide(a, width, out=np.zeros(width.shape), where=width > 0.0)
 
 
 def section_volume_quadric(body, xi, t):
@@ -355,9 +319,11 @@ def section_volume(body, xi, t):
     xi is one direction, or an (m, n) stack of unit rows with offsets of shape
     (m,) or (m, k); a stack gives a result of the offsets' shape whose row i
     is A(xi_i, t_i).  An ellipsoid evaluates the stack as arrays (its rows
-    round like the one-direction call up to ``power``, a few ulp); a polytope,
-    whose piece structure belongs to one direction, and a quadric map it row
-    by row, bit for bit.
+    round like the one-direction call up to ``power``, a few ulp).  A
+    polytope and a quadric map it row by row, so each row equals its
+    one-direction call bit for bit; the replay, the one caller that passes
+    stacks, runs on accepted ellipsoids, so a stacked polytope engine would
+    speed up no measured path.
     """
     if isinstance(body, Ellipsoid):
         return section_volume_ellipsoid(body, xi, t)

@@ -220,8 +220,11 @@ def test_polytope_validation():
                 [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.1, 0.1, 0.1]], dtype=float
             )
         )
-    with pytest.raises(ValueError):
-        Polytope(np.random.default_rng(0).standard_normal((5, 4)))  # dimension 4
+    with pytest.raises(ValueError, match="n >= 2"):
+        Polytope(np.array([[0.0], [1.0], [2.0]]))  # dimension 1
+    # every dimension n >= 2 constructs, a 4-simplex among them
+    simplex = Polytope(np.vstack([np.zeros(4), np.eye(4)]))
+    assert simplex.n == 4 and simplex._simplex_volumes.sum() == pytest.approx(1.0 / 24.0, rel=1e-14)
 
 
 def test_ellipsoid_rejects_non_finite_center_and_shape():
@@ -259,13 +262,12 @@ def test_load_body_rejects_non_finite_json(tmp_path):
 
 
 def _support_family():
-    """Every body family in the dimensions it exists in."""
+    """Every body family in n = 2..5."""
     for n in (2, 3, 4, 5):
         axes = np.linspace(0.7, 1.6, n - 1)
         yield random_ellipsoid(n, seed=n)
         yield QuadricDomain("paraboloid", axes)
         yield QuadricDomain("hyperboloid-sheet", axes, 1.3)
-    for n in (2, 3):
         yield Polytope.cube(n).rotated(random_rotation(n, seed=n)).translated(np.full(n, 0.3))
         yield random_simplex(n, seed=n)
 
@@ -355,7 +357,7 @@ def test_unit_ball_volumes():
 
 
 def _membership_bodies():
-    """One body of every family in n = 2..5 (polytopes in n = 2, 3)."""
+    """One body of every family, two polytopes among them, in n = 2..5."""
     out = []
     for n in range(2, 6):
         axes = np.linspace(0.7, 1.4, n - 1)
@@ -363,9 +365,9 @@ def _membership_bodies():
             random_ellipsoid(n, seed=40 + n),
             QuadricDomain("paraboloid", axes),
             QuadricDomain("hyperboloid-sheet", axes, 0.9),
+            random_simplex(n, seed=50 + n),
+            Polytope.cube(n).rotated(random_rotation(n, seed=60 + n)),
         ]
-    for n in (2, 3):
-        out += [random_simplex(n, seed=50 + n), Polytope.cube(n).rotated(random_rotation(n, seed=60 + n))]
     return out
 
 

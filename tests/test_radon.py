@@ -191,7 +191,7 @@ def simplex_formula_moment(vertices, xi, k):
 def _simplex_formula_cases():
     rng = np.random.default_rng(2024)
     cases = []
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         for seed in range(4):
             cases.append((random_simplex(n, seed=seed), Direction.from_vector(rng.standard_normal(n))))
         cube = Polytope.cube(n)
@@ -203,6 +203,8 @@ def _simplex_formula_cases():
         cases.append((Polytope.cube(3), Direction.from_vector(v)))
     for v in ([1, 0], [1, 1]):
         cases.append((Polytope.cube(2), Direction.from_vector(v)))
+    for v in ([0, 0, 0, 1], [1, 1, 0, 0]):
+        cases.append((Polytope.cube(4), Direction.from_vector(v)))
     R = random_rotation(3, seed=9)
     cases.append((Polytope.cube(3).rotated(R).translated([0.3, 0.1, -0.2]), Direction.from_vector(R @ [0, 0, 1])))
     cases.append((Polytope.cube(3, half=0.5).translated([0.5, 0.5, 0.5]), E3))

@@ -136,15 +136,16 @@ def test_section_evenness_ellipsoid(seed, t):
 
 
 def test_section_evenness_polytope():
-    body = random_simplex(3, seed=11)
     rng = np.random.default_rng(0)
-    for _ in range(60):
-        d = Direction.from_vector(rng.standard_normal(3))
-        lo, hi = chord_interval(body, d)
-        t = rng.uniform(lo, hi)
-        a = section_volume(body, d, t)
-        b = section_volume(body, Direction(-d.components), -t)
-        assert a == pytest.approx(b, abs=1e-12 * max(1.0, a))
+    for n in (2, 3, 4, 5):
+        for body in (random_simplex(n, seed=11), Polytope.cube(n).rotated(random_rotation(n, seed=n))):
+            for _ in range(60):
+                d = Direction.from_vector(rng.standard_normal(n))
+                lo, hi = chord_interval(body, d)
+                t = rng.uniform(lo, hi)
+                a = section_volume(body, d, t)
+                b = section_volume(body, Direction(-d.components), -t)
+                assert a == pytest.approx(b, abs=1e-12 * max(1.0, a))
 
 
 def test_section_translation_invariance():
@@ -205,6 +206,22 @@ def test_facet_parallel_slice_gives_facet_area():
     assert section_volume(cube, E3, -1.0) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_four_cube_facet_slices_and_continuity():
+    cube = Polytope.cube(4)
+    e4 = unit([0, 0, 0, 1])
+    ends = section_volume(cube, e4, np.array([-1.0, 1.0]))
+    assert ends == pytest.approx([8.0, 8.0], abs=1e-12)
+    assert section_volume(cube, e4, np.array([-1.0 - 1e-12, 1.0 + 1e-12])).tolist() == [0.0, 0.0]
+    # along (1, 1, 0, 0) the vertex heights are -sqrt 2, 0 and sqrt 2; the
+    # slice is continuous across the middle one
+    d = unit([1, 1, 0, 0])
+    eps = 1e-9
+    lo, at, hi = section_volume(cube, d, np.array([-eps, 0.0, eps]))
+    assert at == pytest.approx(8.0 * math.sqrt(2.0), rel=1e-12)
+    assert lo == pytest.approx(at, rel=1e-8)
+    assert hi == pytest.approx(at, rel=1e-8)
+
+
 # Monte Carlo agreement
 
 
@@ -219,6 +236,26 @@ def test_mc_matches_exact_on_spec_bodies():
         est, err = section_volume_mc(body, d, t, samples=1_000_000, seed=42)
         assert abs(est - exact) < 3.0 * err
         assert err < 0.05 * exact
+
+
+def test_mc_matches_exact_on_higher_dimensional_polytopes():
+    rng = np.random.default_rng(404)
+    bodies = [
+        Polytope.cube(4).rotated(random_rotation(4, seed=8)).translated([0.2, -0.1, 0.3, 0.0]),
+        Polytope.cube(5),
+        random_simplex(4, seed=6),
+    ]
+    for k, body in enumerate(bodies):
+        d = Direction.from_vector(rng.standard_normal(body.n))
+        lo, hi = chord_interval(body, d)
+        for j, frac in enumerate((0.2, 0.45, 0.7)):
+            t = lo + frac * (hi - lo)
+            exact = section_volume(body, d, t)
+            # a slab of 1 % of the chord: its averaging bias stays far below err
+            w = 0.01 * (hi - lo)
+            est, err = section_volume_mc(body, d, t, slab_halfwidth=w, samples=200_000, seed=10 * k + j)
+            assert 0.0 < err < 0.3 * exact
+            assert abs(est - exact) <= 5.0 * err, (body.n, t, est, err, exact)
 
 
 def test_mc_is_deterministic():
@@ -341,6 +378,12 @@ def _family_cases():
         (Polytope.cube(2), unit([1, 0])),
         (Polytope.cube(2), unit([1, 1])),
         (random_simplex(2, seed=3), unit([0.4, -0.9])),
+        (Polytope.cube(4), unit([0, 0, 0, 1])),
+        (Polytope.cube(4), unit([1, 1, 0, 0])),
+        (Polytope.cube(4).rotated(random_rotation(4, seed=3)), unit([0.3, -0.5, 0.8, 0.1])),
+        (random_simplex(4, seed=4), unit([0.2, 0.7, -0.4, 0.5])),
+        (Polytope.cube(5), unit([1, 1, 1, 0, 0])),
+        (random_simplex(5, seed=5), unit([0.6, -0.1, 0.3, 0.2, -0.7])),
     ]
     for body, d in polytopes:
         h = body.vertices @ d.components
@@ -576,7 +619,7 @@ def _stack_cases():
     for n in (2, 3, 4, 5):
         body = random_ellipsoid(n, seed=70 + n)
         cases.append((body, _unit_rows(rng.standard_normal((40, n)))))
-    for body in (Polytope.cube(2), Polytope.cube(3)):
+    for body in (Polytope.cube(2), Polytope.cube(3), Polytope.cube(4), random_simplex(5, seed=2)):
         D = np.vstack([np.eye(body.n), _unit_rows(rng.standard_normal((12, body.n)))])
         cases.append((body, D))
     out = []
@@ -619,7 +662,7 @@ def test_direction_stack_evenness():
         got = section_volume(body, -D, -T)
         want = section_volume(body, D, T)
         if isinstance(body, Polytope):
-            # the pieces are found from the other end of the chord
+            # the knots come in reverse order, so the recurrence rounds differently
             assert got == pytest.approx(want, abs=1e-12, nan_ok=True)
         else:
             assert np.array_equal(got, want, equal_nan=True), type(body).__name__
