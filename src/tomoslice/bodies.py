@@ -117,6 +117,22 @@ def as_direction(xi):
     return Direction(np.asarray(xi, dtype=float))
 
 
+def _direction_rows(xi, n):
+    """One direction or a direction stack as an (m, n) array of unit rows, and
+    whether xi was a stack.  One direction (a Direction or a 1-d unit
+    array-like) is the one-row stack; a 2-d array is a stack, whose rows must
+    be finite with unit Euclidean norm (within 1e-12), as for a Direction."""
+    stacked = not isinstance(xi, Direction) and np.ndim(xi) == 2
+    D = np.asarray(xi, dtype=float) if stacked else as_direction(xi).components[None]
+    if D.shape[1] != n:
+        raise ValueError(f"directions have {D.shape[1]} components, the body has dimension {n}")
+    # a NaN row fails the norm test too, but is reported as not finite
+    if stacked and not (np.abs(np.sqrt(np.vecdot(D, D)) - 1.0) <= _UNIT_TOL).all():
+        rule = "have unit Euclidean norm" if np.isfinite(D).all() else "be finite"
+        raise ValueError(f"direction stack rows must {rule}")
+    return D, stacked
+
+
 @dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """Solid ellipsoid {x : (x - center)^T shape (x - center) <= 1}.
@@ -433,15 +449,17 @@ def contains(body, x):
 def chord_interval(body, xi):
     """Range (t_min, t_max) of hyperplane offsets t with K meeting {x.xi = t}.
 
-    t_max = h_K(xi) and t_min = -h_K(-xi).  Raises InfiniteSupportError if the
-    body is unbounded in either of the two directions.
+    t_max = h_K(xi) and t_min = -h_K(-xi).  xi may also be an (m, n) stack of
+    unit rows, which gives two arrays of m values, each row as ``support``
+    evaluates it on the stack.  Raises InfiniteSupportError if the body is
+    unbounded along any of the directions or their negatives.
     """
-    d = as_direction(xi)
-    hi = body.support(d.components)
-    lo = -body.support(-d.components)
-    if not (math.isfinite(hi) and math.isfinite(lo)):
+    D, stacked = _direction_rows(xi, body.n)
+    hi = body.support(D)
+    lo = -body.support(-D)
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise InfiniteSupportError("chord interval undefined: support is infinite along this normal")
-    return lo, hi
+    return (lo, hi) if stacked else (float(lo[0]), float(hi[0]))
 
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))

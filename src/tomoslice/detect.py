@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ellipsoid, InfiniteSupportError, sample_directions
+from .bodies import Ellipsoid, chord_interval, sample_directions
 from .algfit import normalized_constant_from_value
 from .sections import section_volume
 
@@ -242,10 +242,7 @@ def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=
         fracs[i] = rng.random()
     # rounds like g / np.linalg.norm(g) on every row; norm(G, axis=1) does not
     dirs = G / np.sqrt(np.vecdot(G, G))[:, None]
-    t_hi = body.support(dirs)
-    t_lo = -body.support(-dirs)
-    if not (np.all(np.isfinite(t_hi)) and np.all(np.isfinite(t_lo))):
-        raise InfiniteSupportError("chord interval undefined: support is infinite along a probe normal")
+    t_lo, t_hi = chord_interval(body, dirs)
     width = t_hi - t_lo
     lo, hi = t_lo + 0.1 * width, t_hi - 0.1 * width
     # the map numpy's uniform(lo, hi) applies to one random() draw

@@ -4,18 +4,14 @@ Each body family has an exact engine, plus a seeded Monte Carlo slab oracle
 that estimates the same quantity from nothing but the membership test.  The
 oracle exists so the closed forms can be cross-validated instead of trusted.
 
-Every exact engine takes a scalar offset t or an array of them, through one
-code path: a scalar is an array of size 1 and comes back as a float.  All
-engines return 0 outside the chord interval, NaN for a NaN offset, and
-satisfy A(xi, t) = A(-xi, -t) by construction.
-
-``section_volume`` and ``section_volume_ellipsoid`` also take a direction
-stack: xi an (m, n) array of unit rows, with offsets of shape (m,) or (m, k)
-whose row i belongs to direction i; the result has the offsets' shape.  The
-ellipsoid engine evaluates a stack as arrays, through stacked products that
-round like its one-direction call, so a row differs from that call only where
-numpy's array ``power`` and Python's float ``**`` round apart, by a few ulp.
-The other families map a stack row by row through their one-direction call.
+Every exact engine runs one code path over an (m, n) stack of unit
+directions and an (m, k) array of offsets, row i of the offsets belonging to
+direction i.  A single direction is the one-row stack and takes offsets of
+any shape; a stack takes offsets of shape (m,) or (m, k).  The result has
+the offsets' shape, and a scalar offset comes back as a float.  As one
+direction takes the same path, a stack's row equals the one-direction call
+bit for bit.  All engines return 0 outside the chord interval, NaN for a
+NaN offset, and satisfy A(xi, t) = A(-xi, -t) by construction.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (
-    _UNIT_TOL,
     Direction,
     Ellipsoid,
     InfiniteSupportError,
@@ -35,6 +30,7 @@ from .bodies import (
     Polytope,
     QuadricDomain,
     UnboundedSliceError,
+    _direction_rows,
     as_direction,
     chord_interval,
     unit_ball_volume,
@@ -131,46 +127,31 @@ class SectionProfile:
         )
 
 
-def _offsets(t):
-    """Offsets t as a flat float array (a scalar becomes an array of size 1)
-    and the shape to hand the result back in."""
-    t = np.asarray(t, dtype=float)
-    return t.ravel(), t.shape
+def _queries(xi, t, n):
+    """The (m, n) stack of unit rows, the offsets as an (m, k) array whose row
+    i belongs to direction i, and the shape to hand the result back in.  One
+    direction is the one-row stack and takes offsets of any shape; a stack
+    takes offsets of shape (m,) or (m, k)."""
+    D, stacked = _direction_rows(xi, n)
+    ts = np.asarray(t, dtype=float)
+    if stacked and (ts.ndim not in (1, 2) or ts.shape[0] != len(D)):
+        raise ValueError(
+            f"offsets of shape {ts.shape} do not match a stack of {len(D)} directions:"
+            " expected (m,) or (m, k) with m rows"
+        )
+    return D, ts.reshape(len(D), -1), ts.shape
 
 
 def _shaped(values, ts, shape):
     """Engine output in the caller's form: a float for a scalar offset, else an
     array of the offsets' shape.  A NaN offset gives NaN in every family."""
     values[np.isnan(ts)] = np.nan
-    return float(values[0]) if shape == () else values.reshape(shape)
-
-
-def _is_stack(xi):
-    return not isinstance(xi, Direction) and np.ndim(xi) == 2
-
-
-def _direction_stack(xi, t, n):
-    """Validated (m, n) stack of unit rows, the offsets as an (m, k) array, and
-    the offsets' own shape, (m,) or (m, k), to hand the result back in."""
-    D = np.asarray(xi, dtype=float)
-    if D.shape[1] != n:
-        raise ValueError(f"direction stack rows have {D.shape[1]} components, the body has dimension {n}")
-    if not np.all(np.isfinite(D)):
-        raise ValueError("direction stack rows must be finite")
-    if np.any(np.abs(np.sqrt(np.vecdot(D, D)) - 1.0) > _UNIT_TOL):
-        raise ValueError("direction stack rows must have unit Euclidean norm")
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim not in (1, 2) or ts.shape[0] != D.shape[0]:
-        raise ValueError(
-            f"offsets of shape {ts.shape} do not match a stack of {D.shape[0]} directions:"
-            " expected (m,) or (m, k) with m rows"
-        )
-    return D, ts.reshape(D.shape[0], -1), ts.shape
+    values = values.reshape(shape)
+    return float(values) if shape == () else values
 
 
 def section_volume_ellipsoid(body, xi, t):
-    """Exact section volume of an ellipsoid, for a scalar or an array of
-    offsets, along one direction or a direction stack.
+    """Exact section volume of an ellipsoid.
 
     For K = {(x-c)^T M (x-c) <= 1} and unit xi with hbar = sqrt(xi^T M^-1 xi),
 
@@ -180,38 +161,25 @@ def section_volume_ellipsoid(body, xi, t):
     on |t - c.xi| <= hbar and 0 outside.  The constant was pinned by
     cross-checking against the Monte Carlo slab oracle (see the test suite)
     before being relied on anywhere else.
-
-    With xi an (m, n) stack of unit rows and offsets of shape (m,) or (m, k),
-    row i of the result is A(xi_i, t_i).  hbar and c.xi come from stacked
-    products, which round like ``centered_support(v)`` and ``c @ v``; only
-    hbar^-n, an array ``power`` here and a float ``**`` in the one-direction
-    call, can move a row by a few ulp.
     """
     if not isinstance(body, Ellipsoid):
         raise TypeError("section_volume_ellipsoid expects an Ellipsoid")
-    if _is_stack(xi):
-        D, ts, shape = _direction_stack(xi, t, body.n)
-        rows = D[:, None, :]
-        w = np.matmul(rows, body._shape_inv_factor)[:, 0, :]
-        hbar = np.sqrt(np.vecdot(w, w))[:, None]
-        tau = ts - np.matmul(rows, body.center[:, None])[:, 0]
-    else:
-        d = as_direction(xi)
-        if d.n != body.n:
-            raise ValueError("direction dimension does not match the body")
-        v = d.components
-        ts, shape = _offsets(t)
-        hbar = body.centered_support(v)
-        tau = ts - float(body.center @ v)
-    gap = np.maximum(hbar * hbar - tau * tau, 0.0)
     n = body.n
-    out = unit_ball_volume(n - 1) / body._sqrt_det_shape * hbar ** (-n) * gap ** ((n - 1) / 2.0)
-    return _shaped(out, ts, shape)
+    D, ts, shape = _queries(xi, t, n)
+    # stacked products round every row like centered_support(v) and c @ v
+    rows = D[:, None, :]
+    w = np.matmul(rows, body._shape_inv_factor)[:, 0, :]
+    hbar = np.sqrt(np.vecdot(w, w))
+    tau = ts - np.matmul(rows, body.center[:, None])[:, 0]
+    gap = np.maximum((hbar * hbar)[:, None] - tau * tau, 0.0)
+    # hbar^-n by float **, which numpy's array power does not always match
+    const = unit_ball_volume(n - 1) / body._sqrt_det_shape
+    scale = np.array([const * h ** (-n) for h in hbar.tolist()])
+    return _shaped(scale[:, None] * gap ** ((n - 1) / 2.0), ts, shape)
 
 
 def section_volume_polytope(body, xi, t):
-    """Exact section volume of a polytope in any dimension n >= 2, for a
-    scalar or an array of offsets.
+    """Exact section volume of a polytope in any dimension n >= 2.
 
     For a simplex S with vertices v_0..v_n, A(xi, t) = vol(S) M(t), where M
     is the normalized B-spline of order n (degree n - 1, integral 1) whose
@@ -223,34 +191,33 @@ def section_volume_polytope(body, xi, t):
         M_{i,r}(t) = r / (r - 1) * ((t - x_i) M_{i,r-1}(t)
                      + (x_{i+r} - t) M_{i+1,r-1}(t)) / (x_{i+r} - x_i),
 
-    evaluated for every offset and simplex at once, with zero-width spans
-    giving 0.  Pieces are left-continuous, except that an offset at the
-    lowest vertex height takes the right limit, so a facet-parallel slice at
-    either end of the chord returns the facet's area.
+    evaluated for every (direction, offset) pair and simplex at once, with
+    zero-width spans giving 0.  Pieces are left-continuous, except that an
+    offset at the lowest vertex height takes the right limit, so a
+    facet-parallel slice at either end of the chord returns the facet's area.
     """
     if not isinstance(body, Polytope):
         raise TypeError("section_volume_polytope expects a Polytope")
-    d = as_direction(xi)
-    if d.n != body.n:
-        raise ValueError("direction dimension does not match the body")
-    h = body.vertices @ d.components
-    x = np.sort(h[body._simplices], axis=1)  # (S, n + 1) knots
-    ts, shape = _offsets(t)
-    out = np.zeros(ts.size)
-    low = h.min()
-    inside = (ts >= low) & (ts <= h.max())
-    s = ts[inside][:, None, None]
+    D, ts, shape = _queries(xi, t, body.n)
+    # one matrix-vector product per row, rounding like vertices @ xi
+    h = np.matmul(body.vertices, D[:, :, None])[..., 0]
+    low = h.min(axis=1)[:, None]
+    inside = (ts >= low) & (ts <= h.max(axis=1)[:, None])
+    # knots (m, 1, S, n + 1) against offsets (m, k, 1, 1); an offset outside
+    # the chord runs at the lowest height instead and is zeroed at the end
+    x = np.sort(h[:, body._simplices], axis=2)[:, None]
+    s = np.where(inside, ts, low)[..., None, None]
     # spans starting at the lowest height are open to the left, which gives
     # the right limit there
-    opens = np.where(x[:, :-1] == low, -np.inf, x[:, :-1])
-    width = x[:, 1:] - x[:, :-1]
-    M = np.where((opens < s) & (s <= x[:, 1:]), _guarded_ratio(1.0, width), 0.0)
+    opens = np.where(x[..., :-1] == low[..., None, None], -np.inf, x[..., :-1])
+    width = x[..., 1:] - x[..., :-1]
+    M = np.where((opens < s) & (s <= x[..., 1:]), _guarded_ratio(1.0, width), 0.0)
     for r in range(2, body.n + 1):
-        lo, hi = x[:, :-r], x[:, r:]
+        lo, hi = x[..., :-r], x[..., r:]
         M = _guarded_ratio(r / (r - 1), hi - lo) * ((s - lo) * M[..., :-1] + (hi - s) * M[..., 1:])
     # a running sum adds the simplices in one fixed order, so every offset's
     # value is independent of how many offsets share the call
-    out[inside] = np.cumsum(M[..., 0] * body._simplex_volumes, axis=1)[:, -1]
+    out = np.where(inside, np.cumsum(M[..., 0] * body._simplex_volumes, axis=-1)[..., -1], 0.0)
     return _shaped(out, ts, shape)
 
 
@@ -260,86 +227,61 @@ def _guarded_ratio(a, width):
 
 
 def section_volume_quadric(body, xi, t):
-    """Exact section volume of a paraboloid epigraph or hyperboloid sheet, for a
-    scalar or an array of offsets.
+    """Exact section volume of a paraboloid epigraph or hyperboloid sheet.
 
     Works by eliminating x_n on the cutting plane and completing the square,
     which reduces the slice to an (n-1)-ellipsoid in the transverse variables;
     the in-plane volume is the transverse volume times 1/|xi_n| (the metric
-    factor of the graph map).  Raises UnboundedSliceError when the slice is
-    noncompact, returns 0 when the plane misses the body.
+    factor of the graph map).  Raises UnboundedSliceError when the slice
+    along any direction is noncompact, returns 0 when the plane misses the
+    body.
     """
     if not isinstance(body, QuadricDomain):
         raise TypeError("section_volume_quadric expects a QuadricDomain")
-    d = as_direction(xi)
-    if d.n != body.n:
-        raise ValueError("direction dimension does not match the body")
-    v = d.components
-    vp, vn = v[:-1], v[-1]
-    ts, shape = _offsets(t)
     n = body.n
+    D, ts, shape = _queries(xi, t, n)
+    vp, vn = D[:, :-1], D[:, -1:]
     a = body.axes
     if body.kind == PARABOLOID:
-        if vn == 0.0:
+        if np.any(vn == 0.0):
             raise UnboundedSliceError("slice parallel to the paraboloid axis is unbounded")
-        alpha = abs(vn)
-        sgn = math.copysign(1.0, vn)
-        r = np.maximum(sgn * ts + float(np.sum(vp**2 * a**2)) / (4.0 * alpha), 0.0)
-        out = (
-            unit_ball_volume(n - 1)
-            * float(np.prod(a))
-            * (r / alpha) ** ((n - 1) / 2.0)
-            / alpha
-        )
+        alpha = np.abs(vn)
+        shift = np.sum(vp**2 * a**2, axis=1, keepdims=True) / (4.0 * alpha)
+        r = np.maximum(np.copysign(1.0, vn) * ts + shift, 0.0)
+        out = unit_ball_volume(n - 1) * float(np.prod(a)) * (r / alpha) ** ((n - 1) / 2.0) / alpha
         return _shaped(out, ts, shape)
-    c = body.c
-    if vn == 0.0 or c**2 * vn**2 <= float(np.sum(a**2 * vp**2)):
+    c2vn2 = body.c**2 * vn**2
+    # xi_n = 0 fails this too
+    if np.any(c2vn2 <= np.sum(a**2 * vp**2, axis=1, keepdims=True)):
         raise UnboundedSliceError("slice direction outside the hyperboloid's bounded-slice cone")
-    B = np.diag(c**2 * vn**2 / a**2) - np.outer(vp, vp)
-    q = float(vp @ np.linalg.solve(B, vp))
-    rho2 = np.maximum(ts * ts - c**2 * vn**2 + ts * ts * q, 0.0)
-    det_B = float(np.linalg.det(B))
-    out = (
-        unit_ball_volume(n - 1)
-        * rho2 ** ((n - 1) / 2.0)
-        / math.sqrt(det_B)
-        / abs(vn)
-    )
+    B = np.eye(n - 1) * (c2vn2 / a**2)[:, None, :] - vp[:, :, None] * vp[:, None, :]
+    q = np.matmul(vp[:, None, :], np.linalg.solve(B, vp[:, :, None]))[:, 0]
+    rho2 = np.maximum(ts * ts - c2vn2 + ts * ts * q, 0.0)
+    out = unit_ball_volume(n - 1) * rho2 ** ((n - 1) / 2.0) / np.sqrt(np.linalg.det(B))[:, None] / np.abs(vn)
     # the slice center x0 = -t B^-1 vp sits at height t - vp.x0 = t (1 + q)
     # with q >= 0; where that has the opposite sign to xi_n the plane only
     # meets the mirror sheet, which is not part of the body
-    out[np.copysign(1.0, ts) != math.copysign(1.0, vn)] = 0.0
+    out[np.copysign(1.0, ts) != np.copysign(1.0, vn)] = 0.0
     return _shaped(out, ts, shape)
 
 
 def section_volume(body, xi, t):
-    """Exact section volume at a scalar or an array of offsets, dispatching on
-    the body family.
+    """Exact section volume, dispatching on the body family.
 
-    xi is one direction, or an (m, n) stack of unit rows with offsets of shape
-    (m,) or (m, k); a stack gives a result of the offsets' shape whose row i
-    is A(xi_i, t_i).  An ellipsoid evaluates the stack as arrays (its rows
-    round like the one-direction call up to ``power``, a few ulp).  A
-    polytope and a quadric map it row by row, so each row equals its
-    one-direction call bit for bit; the replay, the one caller that passes
-    stacks, runs on accepted ellipsoids, so a stacked polytope engine would
-    speed up no measured path.
+    xi is one direction, with offsets of any shape, or an (m, n) stack of
+    unit rows, with offsets of shape (m,) or (m, k) whose row i is taken
+    along direction i.  The result has the offsets' shape (a float for a
+    scalar offset).  Each engine runs one code path, a single direction
+    being the one-row stack, so a stack's row i equals the one-direction
+    call A(xi_i, t_i) bit for bit.
     """
     if isinstance(body, Ellipsoid):
         return section_volume_ellipsoid(body, xi, t)
     if isinstance(body, Polytope):
-        engine = section_volume_polytope
-    elif isinstance(body, QuadricDomain):
-        engine = section_volume_quadric
-    else:
-        raise TypeError(f"no section engine for {type(body).__name__}")
-    if not _is_stack(xi):
-        return engine(body, xi, t)
-    D, ts, shape = _direction_stack(xi, t, body.n)
-    out = np.empty(ts.shape)
-    for i, row in enumerate(D):
-        out[i] = engine(body, row, ts[i])
-    return out.reshape(shape)
+        return section_volume_polytope(body, xi, t)
+    if isinstance(body, QuadricDomain):
+        return section_volume_quadric(body, xi, t)
+    raise TypeError(f"no section engine for {type(body).__name__}")
 
 
 def _householder_frame(v):

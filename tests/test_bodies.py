@@ -292,6 +292,38 @@ def test_batched_support_matches_rows():
         assert type(body.support(D[0])) is float
 
 
+def test_chord_interval_on_a_stack():
+    rng = np.random.default_rng(4)
+    for body in _support_family():
+        if isinstance(body, QuadricDomain):
+            continue
+        n = body.n
+        D = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((30, n))])
+        D /= np.sqrt(np.vecdot(D, D))[:, None]
+        lo, hi = chord_interval(body, D)
+        assert lo.shape == hi.shape == (D.shape[0],)
+        # each row as support evaluates it on the stack, bit for bit
+        assert np.array_equal(hi, body.support(D)) and np.array_equal(lo, -body.support(-D))
+        rows = np.array([chord_interval(body, d) for d in D])
+        for i in range(D.shape[0]):
+            # the one-row stack is the one-direction call, bit for bit
+            one = chord_interval(body, D[i : i + 1])
+            assert (float(one[0][0]), float(one[1][0])) == tuple(rows[i])
+        # a taller stack rounds like support on a stack (see above)
+        scale = np.max(np.abs(rows))
+        assert np.max(np.abs(np.column_stack([lo, hi]) - rows)) <= 2e-15 * scale, type(body).__name__
+
+
+def test_chord_interval_on_a_stack_raises_for_an_unbounded_row():
+    axes = np.array([1.0, 1.5])
+    D = np.array([[0.0, 0.0, -1.0], [0.6, 0.0, -0.8]])
+    for body in (QuadricDomain("paraboloid", axes), QuadricDomain("hyperboloid-sheet", axes, 1.3)):
+        with pytest.raises(InfiniteSupportError):
+            chord_interval(body, D[1])
+        with pytest.raises(InfiniteSupportError):
+            chord_interval(body, D)
+
+
 def test_fibonacci_sphere_is_deterministic_and_unit():
     a = fibonacci_sphere(100)
     b = fibonacci_sphere(100)
