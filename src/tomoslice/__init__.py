@@ -17,6 +17,7 @@ from .bodies import (
     fibonacci_sphere,
     load_body,
     random_ellipsoid,
+    random_rotation,
     random_simplex,
     sample_directions,
     save_body,
@@ -81,6 +82,7 @@ __all__ = [
     "fibonacci_sphere",
     "sample_directions",
     "random_ellipsoid",
+    "random_rotation",
     "random_simplex",
     "load_body",
     "save_body",

@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_ACCEPT_TOL = 1e-6
-REJECT_FLOOR = 1e-3
 EFFECTIVE_DEGREE_CUTOFF = 1e-9
 CONFORM_TOL = 1e-8
 QUADRIC_TOL = 1e-8

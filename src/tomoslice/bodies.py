@@ -52,6 +52,7 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _UNIT_TOL = 1e-12
+_ORTHO_TOL = 1e-12
 
 
 class InfiniteSupportError(ValueError):
@@ -131,6 +132,17 @@ def _direction_rows(xi, n):
         rule = "have unit Euclidean norm" if np.isfinite(D).all() else "be finite"
         raise ValueError(f"direction stack rows must {rule}")
     return D, stacked
+
+
+def _rotation(R, n):
+    """R as an orthogonal (n, n) array, or a ValueError.  Every family's
+    ``rotated`` returns the image of the body under x -> R x, which for an
+    ellipsoid's shape matrix is R M R^T only when R^T = R^-1."""
+    R = np.asarray(R, dtype=float)
+    # a NaN entry fails the comparison too
+    if R.shape != (n, n) or not np.linalg.norm(R.T @ R - np.eye(n)) <= _ORTHO_TOL:
+        raise ValueError(f"rotation matrix must be orthogonal of shape ({n}, {n}), with |R^T R - I| <= 1e-12")
+    return R
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +257,7 @@ class Ellipsoid:
         return Ellipsoid(self.center * lam, self.shape / lam**2)
 
     def rotated(self, R):
-        R = np.asarray(R, dtype=float)
+        R = _rotation(R, self.n)
         return Ellipsoid(R @ self.center, R @ self.shape @ R.T)
 
 
@@ -344,7 +356,7 @@ class Polytope:
         return Polytope(self.vertices * lam)
 
     def rotated(self, R):
-        R = np.asarray(R, dtype=float)
+        R = _rotation(R, self.n)
         return Polytope(self.vertices @ R.T)
 
 

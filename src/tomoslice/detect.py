@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ellipsoid, chord_interval, sample_directions
+from .bodies import Ellipsoid, InfiniteSupportError, QuadricDomain, chord_interval, sample_directions
 from .algfit import normalized_constant_from_value
 from .sections import section_volume
 
@@ -30,13 +30,10 @@ __all__ = [
     "section_consistency_check",
     "SectionConstantError",
     "DEFAULT_TOL_EXACT",
-    "DEFAULT_TOL_MC",
 ]
 
 _RESIDUAL_GUARD = 1e-300
 DEFAULT_TOL_EXACT = 1e-8
-# documented loosening for profiles that come from the Monte Carlo oracle
-DEFAULT_TOL_MC = 1e-4
 DEFAULT_NUM_DIRECTIONS = 200
 
 
@@ -53,8 +50,16 @@ def _require_directions(num_directions, needed, n):
         raise ValueError(f"need at least {needed} directions in dimension {n}")
 
 
+def _require_bounded(body):
+    # an unbounded body's support is infinite along some directions, which
+    # no least-squares fit can take
+    if isinstance(body, QuadricDomain):
+        raise InfiniteSupportError(f"the {body.kind} is unbounded: its support is infinite, so no ellipsoid fits it")
+
+
 def _fit_center(body, dirs):
     """estimate_e on a given direction set."""
+    _require_bounded(body)
     odd = body.support(dirs) - body.support(-dirs)
     # lstsq's rank uses matrix_rank's cutoff, eps * max(M, N) * s_max
     e, _, rank, _ = np.linalg.lstsq(dirs, odd, rcond=None)
@@ -67,6 +72,7 @@ def _fit_center(body, dirs):
 
 def _fit_shape(body, e, dirs):
     """quadratic_fit on a given direction set."""
+    _require_bounded(body)
     n = body.n
     H = body.support(dirs) - 0.5 * dirs @ e
     y = H**2

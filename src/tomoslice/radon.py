@@ -7,9 +7,12 @@ quadrature and tests that polynomial structure by least squares over a
 direction sample; the residual is the diagnostic quantity.
 
 Moments of any order k >= 0 come out exact up to roundoff: by default each
-rule gets the fewest nodes that integrate A(xi, t) t^k exactly, and all nodes
-of one moment are evaluated in a single section_volume call.  The
-verification pipeline only leans on k <= 2 (volume, center, quadratic form).
+rule gets the fewest nodes that integrate A(xi, t) t^k exactly.  ``moment``
+takes one direction or an (m, n) stack of unit rows, like the section
+engines, and evaluates the nodes of every row in a single section_volume
+call; a range test is therefore one engine call over its whole direction
+sample.  The verification pipeline only leans on k <= 2 (volume, center,
+quadratic form).
 """
 
 from __future__ import annotations
@@ -22,15 +25,14 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .bodies import (
-    Direction,
     Ellipsoid,
     InfiniteSupportError,
     Polytope,
     QuadricDomain,
-    as_direction,
+    _direction_rows,
     sample_directions,
 )
-from .sections import section_volume
+from .sections import _ellipsoid_chord, _vertex_heights, section_volume
 
 __all__ = [
     "MomentReport",
@@ -41,43 +43,6 @@ __all__ = [
 ]
 
 _RESIDUAL_GUARD = 1e-300
-
-
-def _quadrature_rule_ellipsoid(body, v, order):
-    # The integrand carries a (1 - s^2)^{(n-1)/2} factor that kills plain
-    # Gauss-Legendre accuracy in even dimensions, so use the Gauss-Jacobi rule
-    # with the matching endpoint weight; polynomial moments then come out
-    # exactly.  Weights are folded back so the caller can still see the rule
-    # as "sum w_i * A(t_i) * t_i^k".
-    n = body.n
-    alpha = (n - 1) / 2.0
-    s, w = roots_jacobi(order, alpha, alpha)
-    hbar = body.centered_support(v)
-    t_mid = float(body.center @ v)
-    nodes = t_mid + hbar * s
-    weights = w * hbar / (1.0 - s**2) ** alpha
-    return nodes, weights
-
-
-def _polytope_breakpoints(body, v):
-    tau = np.sort(body.vertices @ v)
-    keep = [tau[0]]
-    scale = max(tau[-1] - tau[0], 1.0)
-    for t in tau[1:]:
-        if t - keep[-1] > 1e-12 * scale:
-            keep.append(t)
-    return np.asarray(keep)
-
-
-def _quadrature_rule_polytope(body, v, order):
-    # A(xi, .) is piecewise polynomial with kinks where the plane crosses a
-    # vertex; Gauss-Legendre applied piecewise between those breakpoints is
-    # then exact up to roundoff.
-    s, w = roots_legendre(order)
-    brk = _polytope_breakpoints(body, v)
-    mid = 0.5 * (brk[:-1] + brk[1:])[:, None]
-    half = 0.5 * (brk[1:] - brk[:-1])[:, None]
-    return (mid + half * s).ravel(), (half * w).ravel()
 
 
 def _exact_quad_order(body, k):
@@ -95,10 +60,25 @@ def _exact_quad_order(body, k):
 
 
 def moment(target, xi, k, quad_order=None):
-    """k-th t-moment of the section profile along xi.
+    """k-th t-moment of the section profile along xi, or along each row of a
+    direction stack.
 
     ``target`` is a bounded body; its exact section engine is integrated with
-    a rule adapted to the body family.
+    a rule adapted to the body family.  xi is one direction, which gives a
+    float, or an (m, n) stack of unit rows, which gives an array of m values.
+    One direction is the one-row stack, so row i of a stack equals the
+    one-direction call along xi_i bit for bit.  The nodes of every row go to
+    a single ``section_volume`` call:
+
+    * ellipsoid: one Gauss-Jacobi rule on the chord [c.xi - hbar, c.xi + hbar]
+      of each row.  The integrand carries a (1 - s^2)^{(n-1)/2} factor that
+      kills plain Gauss-Legendre accuracy in even dimensions, so the rule's
+      endpoint weight matches it; the weights are folded back so the moment
+      is still sum w_i A(t_i) t_i^k.
+    * polytope: A(xi, .) is piecewise polynomial with kinks at the vertex
+      heights, so one Gauss-Legendre rule is applied to each of the V - 1
+      gaps between a row's sorted vertex heights.  A gap between tied
+      heights has zero width and adds nothing.
 
     ``quad_order=None`` picks the exact order for the body: ceil((n + k) / 2)
     Gauss-Legendre nodes per polytope piece, ceil((k + 1) / 2) Gauss-Jacobi
@@ -109,23 +89,30 @@ def moment(target, xi, k, quad_order=None):
     k = int(k)
     if quad_order is not None and (quad_order != int(quad_order) or quad_order < 1):
         raise ValueError("quad_order must be a positive integer")
-    d = as_direction(xi)
-    if d.n != target.n:
-        raise ValueError("direction dimension does not match the body")
-    v = d.components
-    if isinstance(target, Ellipsoid):
-        rule = _quadrature_rule_ellipsoid
-    elif isinstance(target, Polytope):
-        rule = _quadrature_rule_polytope
-    elif isinstance(target, QuadricDomain):
+    if isinstance(target, QuadricDomain):
         raise InfiniteSupportError("moments of an unbounded body diverge")
-    else:
+    if not isinstance(target, (Ellipsoid, Polytope)):
         raise TypeError(f"no moment rule for {type(target).__name__}")
+    D, stacked = _direction_rows(xi, target.n)
     if quad_order is None:
         quad_order = _exact_quad_order(target, k)
-    nodes, weights = rule(target, v, quad_order)
-    values = section_volume(target, d, nodes)
-    return float(np.sum(weights * values * nodes**k))
+    if isinstance(target, Ellipsoid):
+        alpha = (target.n - 1) / 2.0
+        s, w = roots_jacobi(quad_order, alpha, alpha)
+        hbar, mid = _ellipsoid_chord(target, D)
+        hbar = hbar[:, None]
+        nodes = mid[:, None] + hbar * s
+        weights = w * hbar / (1.0 - s**2) ** alpha
+    else:
+        s, w = roots_legendre(quad_order)
+        tau = np.sort(_vertex_heights(target, D), axis=1)[..., None]
+        half = 0.5 * (tau[:, 1:] - tau[:, :-1])
+        nodes = (0.5 * (tau[:, :-1] + tau[:, 1:]) + half * s).reshape(len(D), -1)
+        weights = (half * w).reshape(len(D), -1)
+    # xi itself, not D: one direction then skips the stack's unit-norm check
+    values = section_volume(target, xi, nodes)
+    out = np.sum(weights * values * nodes**k, axis=1)
+    return out if stacked else float(out[0])
 
 
 def homogeneous_exponents(n, k):
@@ -193,9 +180,10 @@ def range_test(body, k, num_directions, seed=0, quad_order=None):
 
     Directions come from the Fibonacci lattice for n = 3 and from a seeded
     uniform sample otherwise.  Requires at least twice as many directions as
-    degree-k monomials; raises if the design matrix is rank deficient.
-    ``quad_order=None`` uses the exact order of :func:`moment`; the report
-    records the order actually used.
+    degree-k monomials; raises if the design matrix is rank deficient.  The
+    moments come from one :func:`moment` call on the direction stack, which
+    is one section engine call.  ``quad_order=None`` uses the exact order of
+    :func:`moment`; the report records the order actually used.
     """
     n = body.n
     exponents = homogeneous_exponents(n, k)
@@ -204,7 +192,7 @@ def range_test(body, k, num_directions, seed=0, quad_order=None):
             f"need at least {2 * len(exponents)} directions for degree {k} in dimension {n}"
         )
     dirs = sample_directions(n, num_directions, seed=seed)
-    moments = np.array([moment(body, Direction(d), k, quad_order=quad_order) for d in dirs])
+    moments = moment(body, dirs, k, quad_order=quad_order)
     design = monomial_design_matrix(dirs, exponents)
     if np.linalg.matrix_rank(design) < len(exponents):
         raise ValueError("direction set is rank deficient for this monomial basis")

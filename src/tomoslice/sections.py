@@ -150,6 +150,22 @@ def _shaped(values, ts, shape):
     return float(values) if shape == () else values
 
 
+def _ellipsoid_chord(body, D):
+    """Half-width hbar = sqrt(xi^T M^-1 xi) and midpoint c.xi of the
+    ellipsoid's chord along each row xi of an (m, n) stack, as two arrays of
+    m values.  Stacked matrix-vector products round every row like the
+    one-direction ``centered_support(xi)`` and ``c @ xi``."""
+    rows = D[:, None, :]
+    w = np.matmul(rows, body._shape_inv_factor)[:, 0, :]
+    return np.sqrt(np.vecdot(w, w)), np.matmul(rows, body.center[:, None])[:, 0, 0]
+
+
+def _vertex_heights(body, D):
+    """(m, V) heights of the polytope's vertices along each row of an (m, n)
+    stack, one matrix-vector product per row, rounding like vertices @ xi."""
+    return np.matmul(body.vertices, D[:, :, None])[..., 0]
+
+
 def section_volume_ellipsoid(body, xi, t):
     """Exact section volume of an ellipsoid.
 
@@ -166,11 +182,8 @@ def section_volume_ellipsoid(body, xi, t):
         raise TypeError("section_volume_ellipsoid expects an Ellipsoid")
     n = body.n
     D, ts, shape = _queries(xi, t, n)
-    # stacked products round every row like centered_support(v) and c @ v
-    rows = D[:, None, :]
-    w = np.matmul(rows, body._shape_inv_factor)[:, 0, :]
-    hbar = np.sqrt(np.vecdot(w, w))
-    tau = ts - np.matmul(rows, body.center[:, None])[:, 0]
+    hbar, mid = _ellipsoid_chord(body, D)
+    tau = ts - mid[:, None]
     gap = np.maximum((hbar * hbar)[:, None] - tau * tau, 0.0)
     # hbar^-n by float **, which numpy's array power does not always match
     const = unit_ball_volume(n - 1) / body._sqrt_det_shape
@@ -199,8 +212,7 @@ def section_volume_polytope(body, xi, t):
     if not isinstance(body, Polytope):
         raise TypeError("section_volume_polytope expects a Polytope")
     D, ts, shape = _queries(xi, t, body.n)
-    # one matrix-vector product per row, rounding like vertices @ xi
-    h = np.matmul(body.vertices, D[:, :, None])[..., 0]
+    h = _vertex_heights(body, D)
     low = h.min(axis=1)[:, None]
     inside = (ts >= low) & (ts <= h.max(axis=1)[:, None])
     # knots (m, 1, S, n + 1) against offsets (m, k, 1, 1); an offset outside

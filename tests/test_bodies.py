@@ -453,3 +453,15 @@ def test_contains_points_rows_equal_contains():
         # both verdicts occur, among the near-boundary points too
         assert 0 < rows[400:].sum() < rows[400:].size
         assert type(body.contains(X[0])) is bool
+
+
+def test_rotated_maps_by_R_and_rejects_a_non_orthogonal_matrix():
+    R = random_rotation(3, seed=5)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.2, 1.2, size=(400, 3))
+    for body in (Ellipsoid.from_axes([1.0, 0.6, 0.8], center=[0.1, 0.0, -0.2]), Polytope.cube(3)):
+        # both families return the image under x -> R x
+        assert np.array_equal(body.rotated(R).contains_points(X @ R.T), body.contains_points(X))
+        for bad in (np.diag([2.0, 1.0, 1.0]), np.full((3, 3), np.nan), np.eye(2)):
+            with pytest.raises(ValueError, match="rotation matrix must be orthogonal"):
+                body.rotated(bad)

@@ -1,14 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tomoslice.detect as detect_module
+from tomoslice import cli
 from tomoslice.bodies import (
     Direction,
     Ellipsoid,
@@ -19,6 +23,7 @@ from tomoslice.bodies import (
     random_ellipsoid,
     random_rotation,
     random_simplex,
+    save_body,
 )
 from tomoslice.detect import (
     EllipsoidReport,
@@ -311,3 +316,32 @@ def test_detection_sweep_script_smoke(tmp_path):
             assert entry["verdict"] == "reject", label
             assert "section_replay_error" not in entry
             assert ms == [None], label
+
+
+UNBOUNDED = (
+    QuadricDomain("paraboloid", np.array([1.0, 1.0])),
+    QuadricDomain("hyperboloid-sheet", np.array([1.0, 1.0]), 1.0),
+)
+
+
+@pytest.mark.parametrize("body", UNBOUNDED, ids=lambda b: b.kind)
+def test_unbounded_body_is_rejected_before_any_fit(body):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for fit in (is_ellipsoid, estimate_e, lambda b: quadratic_fit(b, np.zeros(3))):
+            with pytest.raises(InfiniteSupportError, match=f"the {body.kind} is unbounded"):
+                fit(body)
+    assert caught == []
+
+
+@pytest.mark.parametrize("body", UNBOUNDED, ids=lambda b: b.kind)
+def test_cli_detect_on_an_unbounded_body_exits_1(body, tmp_path):
+    path = tmp_path / "body.json"
+    save_body(body, path)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["detect", "--body", str(path)])
+    assert code == 1
+    assert err.getvalue().startswith(f"error: the {body.kind} is unbounded")
+    assert caught == []

@@ -32,3 +32,43 @@ def test_no_unused_imports():
     # __init__ imports cli only to bind tomoslice.cli, which callers reach as
     # an attribute after a bare ``import tomoslice``
     assert set(unused) == {("__init__.py", "cli")}, unused
+
+
+def _module_level_names(tree):
+    """Names a module binds at its top level by def, class or assignment,
+    other than dunder names such as ``__all__``."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return {name: line for name, line in names.items() if not name.startswith("__")}
+
+
+def _reads(tree):
+    """Every name a module reads, as a bare name or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_no_dead_module_level_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set(tomoslice.__all__)
+    for tree in trees.values():
+        read |= _reads(tree)
+    dead = {
+        (module, name): line
+        for module, tree in trees.items()
+        for name, line in _module_level_names(tree).items()
+        if name not in read
+    }
+    assert dead == {}, dead

@@ -270,3 +270,65 @@ def test_explicit_quad_order_one_reproduces_the_default():
     for bad in (0, 1.5):
         with pytest.raises(ValueError, match="positive integer"):
             moment(ell, E3, 0, quad_order=bad)
+
+
+# ---------------------------------------------------------------- direction stacks
+
+
+def _stack_cases():
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 4):
+        dirs = sample_directions(n, 12, seed=n)
+        yield random_ellipsoid(n, seed=n), dirs
+        yield Polytope.cube(n).rotated(random_rotation(n, seed=n)).translated(rng.uniform(-0.5, 0.5, n)), dirs
+        yield random_simplex(n, seed=n), dirs
+    # tied vertex heights: axis directions of the axis-aligned cube
+    yield Polytope.cube(3), np.vstack([np.eye(3), sample_directions(3, 5)])
+
+
+def test_stacked_moment_rows_equal_one_direction_calls():
+    for body, dirs in _stack_cases():
+        for k in range(4):
+            stacked = moment(body, dirs, k)
+            assert stacked.shape == (len(dirs),)
+            singles = np.array([moment(body, Direction(d), k) for d in dirs])
+            assert np.array_equal(stacked, singles), (type(body).__name__, body.n, k)
+
+
+def test_range_test_makes_one_section_call(monkeypatch):
+    calls = []
+    real = radon_module.section_volume
+
+    def counting(body, xi, t):
+        calls.append(np.shape(t))
+        return real(body, xi, t)
+
+    monkeypatch.setattr(radon_module, "section_volume", counting)
+    cube = Polytope.cube(3).rotated(random_rotation(3, seed=7)).translated([0.1, -0.2, 0.3])
+    for body in (cube, random_ellipsoid(3, seed=4)):
+        for k in (0, 1, 2):
+            calls.clear()
+            range_test(body, k, 24)
+            assert len(calls) == 1 and calls[0][0] == 24
+
+
+def test_moment_stack_validation():
+    cube = Polytope.cube(3)
+    with pytest.raises(ValueError, match="unit Euclidean norm"):
+        moment(cube, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.1]]), 0)
+    with pytest.raises(ValueError, match="dimension 3"):
+        moment(cube, np.array([[1.0, 0.0], [0.0, 1.0]]), 0)
+    with pytest.raises(ValueError, match="be finite"):
+        moment(random_ellipsoid(3), np.array([[np.nan, 0.0, 1.0]]), 0)
+    par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
+    with pytest.raises(InfiniteSupportError):
+        moment(par, np.array([[0.0, 0.0, -1.0], [0.0, 0.6, -0.8]]), 0)
+
+
+def test_axis_aligned_cube_stack_moments():
+    # every vertex height ties with three others; the zero-width gaps add nothing
+    cube = Polytope.cube(3)
+    dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    assert moment(cube, dirs, 0) == pytest.approx([8.0] * 3, rel=1e-12)
+    assert moment(cube, dirs, 1) == pytest.approx([0.0] * 3, abs=1e-12)
+    assert moment(cube, dirs, 2) == pytest.approx([8.0 / 3.0] * 3, rel=1e-12)
