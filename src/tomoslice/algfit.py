@@ -18,7 +18,6 @@ the two routes can be compared without sharing any code path.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -30,6 +29,8 @@ from .bodies import (
     InfiniteSupportError,
     Polytope,
     QuadricDomain,
+    _require_int,
+    _row_products,
     as_direction,
     chord_interval,
     unit_ball_volume,
@@ -147,11 +148,6 @@ def _effective_degree(coefficients):
         return 0
     significant = np.nonzero(mags > EFFECTIVE_DEGREE_CUTOFF * top)[0]
     return int(significant.max())
-
-
-def _require_int(name, value, least):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _require_tol(tol):
@@ -495,8 +491,8 @@ def principal_curvatures(body, xi, step=1e-4):
         for y in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])
     ]
     Y = np.array(offsets)
-    # x0 + U @ y for every row, through the matrix-vector product of one y
-    depth = _entry_depths(body, x0 + np.matmul(U, Y[:, :, None])[..., 0], -v)
+    # x0 + U @ y for every row y
+    depth = _entry_depths(body, x0 + _row_products(U, Y), -v)
     H = np.diag((depth[0 : 2 * k : 2] + depth[1 : 2 * k : 2]) / step**2)
     quad = depth[2 * k :].reshape(-1, 4)
     rows, cols = np.triu_indices(k, 1)

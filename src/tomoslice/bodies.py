@@ -12,7 +12,10 @@ raising, so callers can filter directions.
 
 Every ``support`` takes one direction, an array of shape (n,), and returns a
 float, or a stack of directions, an array of shape (m, n), and returns an
-array of m values.  There is one code path: the formulas act on the last axis.
+array of m values.  There is one code path: one direction is the one-row
+stack, and every product of a body matrix with a stack runs one
+matrix-vector product per row (``_row_products``), so a stack row of
+``support`` or ``chord_interval`` equals its one-direction call bit for bit.
 Membership works the same way: ``contains(x)`` is the one-row case of
 ``contains_points(X)``, so a point gets the same verdict alone or in a batch.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -118,20 +122,38 @@ def as_direction(xi):
     return Direction(np.asarray(xi, dtype=float))
 
 
+def _require_int(name, value, least):
+    """A ValueError naming ``name`` unless value is an integer >= least; a
+    bool or an integral float such as 3.0 is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _direction_rows(xi, n):
     """One direction or a direction stack as an (m, n) array of unit rows, and
     whether xi was a stack.  One direction (a Direction or a 1-d unit
-    array-like) is the one-row stack; a 2-d array is a stack, whose rows must
-    be finite with unit Euclidean norm (within 1e-12), as for a Direction."""
+    array-like) is the one-row stack; a 2-d array is a stack of at least one
+    row, whose rows must be finite with unit Euclidean norm (within 1e-12),
+    as for a Direction."""
     stacked = not isinstance(xi, Direction) and np.ndim(xi) == 2
     D = np.asarray(xi, dtype=float) if stacked else as_direction(xi).components[None]
     if D.shape[1] != n:
         raise ValueError(f"directions have {D.shape[1]} components, the body has dimension {n}")
+    if len(D) == 0:
+        raise ValueError(f"the direction stack is empty: shape {D.shape} has no rows")
     # a NaN row fails the norm test too, but is reported as not finite
     if stacked and not (np.abs(np.sqrt(np.vecdot(D, D)) - 1.0) <= _UNIT_TOL).all():
         rule = "have unit Euclidean norm" if np.isfinite(D).all() else "be finite"
         raise ValueError(f"direction stack rows must {rule}")
     return D, stacked
+
+
+def _row_products(A, X):
+    """A @ x for every row x of the 2-d array X, one row of output per row of
+    X.  Each row is its own matrix-vector product and rounds like A @ x for
+    that row alone; X @ A.T is one matrix-matrix product and rounds some
+    rows differently."""
+    return np.matmul(A, X[:, :, None])[..., 0]
 
 
 def _rotation(R, n):
@@ -213,19 +235,17 @@ class Ellipsoid:
         """Support value sup_{x in K} x.v for an arbitrary (not necessarily
         unit) vector v, or for each row of an (m, n) array; positively
         homogeneous in v."""
-        # ndarray.dot rather than @: for one vector it skips matmul's
-        # generalized-ufunc overhead, which dominates at this size
         v = np.asarray(v, dtype=float)
-        w = v.dot(self._shape_inv_factor)
-        h = v.dot(self.center) + np.sqrt(np.vecdot(w, w))
-        return float(h) if v.ndim == 1 else h
+        mid, hbar = self._chord(np.atleast_2d(v))
+        h = mid + hbar
+        return float(h[0]) if v.ndim == 1 else h
 
-    def centered_support(self, v):
-        """Support of the translate centered at the origin, sqrt(v^T M^-1 v),
-        for one vector (a float) or each row of an (m, n) array."""
-        w = np.asarray(v, dtype=float).dot(self._shape_inv_factor)
-        h = np.sqrt(np.vecdot(w, w))
-        return float(h) if w.ndim == 1 else h
+    def _chord(self, D):
+        """Midpoint c.xi and half-width hbar = sqrt(xi^T M^-1 xi) of the
+        range of x.xi over the body, for each row xi of an (m, n) array, as
+        two arrays of m values."""
+        w = _row_products(self._shape_inv_factor.T, D)
+        return _row_products(self.center[None], D)[:, 0], np.sqrt(np.vecdot(w, w))
 
     def argmax_support(self, v):
         """Boundary point where x.v attains the support value."""
@@ -326,22 +346,25 @@ class Polytope:
     def support(self, v):
         """Largest vertex height along v, for one vector (a float) or each
         row of an (m, n) array."""
-        h = np.asarray(v, dtype=float).dot(self.vertices.T).max(axis=-1)
-        return float(h) if h.ndim == 0 else h
+        v = np.asarray(v, dtype=float)
+        h = self._heights(np.atleast_2d(v)).max(axis=1)
+        return float(h[0]) if v.ndim == 1 else h
+
+    def _heights(self, D):
+        """(m, V) heights x.xi of the vertices along each row xi of an (m, n)
+        array."""
+        return _row_products(self.vertices, D)
 
     def argmax_support(self, v):
         v = np.asarray(v, dtype=float)
-        return self.vertices[int(np.argmax(self.vertices @ v))]
+        return self.vertices[int(np.argmax(self._heights(v[None])[0]))]
 
     def contains(self, x):
         return bool(self.contains_points(np.asarray(x, dtype=float)[None])[0])
 
     def contains_points(self, X):
         """Membership of each row of an (m, n) array."""
-        X = np.asarray(X, dtype=float)
-        # one matrix-vector product N @ x per row, as for a single point;
-        # X @ N.T would round some facet heights differently
-        heights = np.matmul(self._facet_normals, X[:, :, None])[..., 0]
+        heights = _row_products(self._facet_normals, np.asarray(X, dtype=float))
         return np.all(heights <= self._facet_offsets, axis=1)
 
     def bounding_box(self):
@@ -406,8 +429,9 @@ class QuadricDomain:
         array; +inf for directions with unbounded linear functional (the
         caller is expected to filter, not to catch)."""
         v = np.asarray(v, dtype=float)
-        vn = v[..., -1]
-        rho2 = (v[..., :-1] ** 2).dot(self.axes**2)
+        D = np.atleast_2d(v)
+        vn = D[:, -1]
+        rho2 = _row_products((self.axes**2)[None], D[:, :-1] ** 2)[:, 0]
         if self.kind == PARABOLOID:
             unbounded = vn >= 0.0
             # a stand-in divisor on unbounded rows, whose value becomes inf below
@@ -417,7 +441,7 @@ class QuadricDomain:
             unbounded = (vn >= 0.0) | (gap < 0.0)
             h = -np.sqrt(np.maximum(gap, 0.0))
         h = np.where(unbounded, math.inf, h)
-        return float(h) if v.ndim == 1 else h
+        return float(h[0]) if v.ndim == 1 else h
 
     def argmax_support(self, v):
         v = np.asarray(v, dtype=float)
@@ -462,9 +486,9 @@ def chord_interval(body, xi):
     """Range (t_min, t_max) of hyperplane offsets t with K meeting {x.xi = t}.
 
     t_max = h_K(xi) and t_min = -h_K(-xi).  xi may also be an (m, n) stack of
-    unit rows, which gives two arrays of m values, each row as ``support``
-    evaluates it on the stack.  Raises InfiniteSupportError if the body is
-    unbounded along any of the directions or their negatives.
+    unit rows, which gives two arrays of m values whose row i equals the
+    one-direction call along xi_i bit for bit.  Raises InfiniteSupportError
+    if the body is unbounded along any of the directions or their negatives.
     """
     D, stacked = _direction_rows(xi, body.n)
     hi = body.support(D)

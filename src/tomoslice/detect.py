@@ -13,12 +13,18 @@ input body's own section engine.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Ellipsoid, InfiniteSupportError, QuadricDomain, chord_interval, sample_directions
+from .bodies import (
+    Ellipsoid,
+    InfiniteSupportError,
+    QuadricDomain,
+    _require_int,
+    chord_interval,
+    sample_directions,
+)
 from .algfit import normalized_constant_from_value
 from .sections import section_volume
 
@@ -57,24 +63,22 @@ def _require_bounded(body):
         raise InfiniteSupportError(f"the {body.kind} is unbounded: its support is infinite, so no ellipsoid fits it")
 
 
-def _fit_center(body, dirs):
-    """estimate_e on a given direction set."""
-    _require_bounded(body)
-    odd = body.support(dirs) - body.support(-dirs)
+def _fit_center(dirs, odd):
+    """estimate_e on a given direction set and its odd support data
+    h(xi) - h(-xi)."""
     # lstsq's rank uses matrix_rank's cutoff, eps * max(M, N) * s_max
     e, _, rank, _ = np.linalg.lstsq(dirs, odd, rcond=None)
-    if rank < body.n:
+    if rank < dirs.shape[1]:
         raise ValueError("direction set is rank deficient")
     resid = float(np.linalg.norm(dirs @ e - odd))
     rel = resid / max(float(np.linalg.norm(odd)), _RESIDUAL_GUARD)
     return e, rel
 
 
-def _fit_shape(body, e, dirs):
-    """quadratic_fit on a given direction set."""
-    _require_bounded(body)
-    n = body.n
-    H = body.support(dirs) - 0.5 * dirs @ e
+def _fit_shape(dirs, H):
+    """quadratic_fit on a given direction set and its recentered support
+    data H(xi)."""
+    n = dirs.shape[1]
     y = H**2
     cols = []
     index = []
@@ -106,7 +110,10 @@ def estimate_e(body, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     """
     n = body.n
     _require_directions(num_directions, 2 * n, n)
-    return _fit_center(body, _direction_set(n, num_directions, seed))
+    _require_bounded(body)
+    dirs = _direction_set(n, num_directions, seed)
+    lo, hi = chord_interval(body, dirs)
+    return _fit_center(dirs, hi + lo)
 
 
 def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
@@ -119,7 +126,9 @@ def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     n = body.n
     _require_directions(num_directions, n * (n + 1), n)
     e = np.asarray(e, dtype=float)
-    return _fit_shape(body, e, _direction_set(n, num_directions, seed))
+    _require_bounded(body)
+    dirs = _direction_set(n, num_directions, seed)
+    return _fit_shape(dirs, body.support(dirs) - 0.5 * dirs @ e)
 
 
 @dataclass(eq=False)
@@ -187,10 +196,13 @@ def is_ellipsoid(
     n = body.n
     _require_directions(num_directions, 2 * n, n)
     _require_directions(num_directions, n * (n + 1), n)
-    # both stages share one direction set
+    _require_bounded(body)
+    # both stages share one direction set and read each support value once:
+    # h(xi) - h(-xi) = hi + lo exactly, as negation is exact
     dirs = _direction_set(n, num_directions, seed)
-    e, lin_res = _fit_center(body, dirs)
-    S, quad_res = _fit_shape(body, e, dirs)
+    lo, hi = chord_interval(body, dirs)
+    e, lin_res = _fit_center(dirs, hi + lo)
+    S, quad_res = _fit_shape(dirs, hi - 0.5 * dirs @ e)
     eigvals = np.linalg.eigvalsh(S)
     definite = bool(eigvals.min() > 0.0)
     ok = lin_res < tol_linear and quad_res < tol_quadratic and definite
@@ -230,8 +242,7 @@ def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=
     ``section_volume`` call on the input body, at each probe's offset and
     chord midpoint, and one on the recovered ellipsoid.
     """
-    if isinstance(num_probes, bool) or not isinstance(num_probes, numbers.Integral) or num_probes < 1:
-        raise ValueError(f"num_probes must be a positive integer, got {num_probes!r}")
+    _require_int("num_probes", num_probes, 1)
     if not constant_tol >= 0.0:
         raise ValueError(f"constant_tol must be a non-negative number, got {constant_tol!r}")
     if not report.accepted:

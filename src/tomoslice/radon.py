@@ -30,9 +30,10 @@ from .bodies import (
     Polytope,
     QuadricDomain,
     _direction_rows,
+    _require_int,
     sample_directions,
 )
-from .sections import _ellipsoid_chord, _vertex_heights, section_volume
+from .sections import section_volume
 
 __all__ = [
     "MomentReport",
@@ -84,11 +85,9 @@ def moment(target, xi, k, quad_order=None):
     Gauss-Legendre nodes per polytope piece, ceil((k + 1) / 2) Gauss-Jacobi
     nodes for an ellipsoid.  An explicit positive integer overrides it.
     """
-    if k != int(k) or k < 0:
-        raise ValueError("moment order must be a non-negative integer")
-    k = int(k)
-    if quad_order is not None and (quad_order != int(quad_order) or quad_order < 1):
-        raise ValueError("quad_order must be a positive integer")
+    _require_int("k", k, 0)
+    if quad_order is not None:
+        _require_int("quad_order", quad_order, 1)
     if isinstance(target, QuadricDomain):
         raise InfiniteSupportError("moments of an unbounded body diverge")
     if not isinstance(target, (Ellipsoid, Polytope)):
@@ -99,13 +98,13 @@ def moment(target, xi, k, quad_order=None):
     if isinstance(target, Ellipsoid):
         alpha = (target.n - 1) / 2.0
         s, w = roots_jacobi(quad_order, alpha, alpha)
-        hbar, mid = _ellipsoid_chord(target, D)
+        mid, hbar = target._chord(D)
         hbar = hbar[:, None]
         nodes = mid[:, None] + hbar * s
         weights = w * hbar / (1.0 - s**2) ** alpha
     else:
         s, w = roots_legendre(quad_order)
-        tau = np.sort(_vertex_heights(target, D), axis=1)[..., None]
+        tau = np.sort(target._heights(D), axis=1)[..., None]
         half = 0.5 * (tau[:, 1:] - tau[:, :-1])
         nodes = (0.5 * (tau[:, :-1] + tau[:, 1:]) + half * s).reshape(len(D), -1)
         weights = (half * w).reshape(len(D), -1)
@@ -166,14 +165,6 @@ class MomentReport:
             "quad_order": self.quad_order,
         }
 
-    def to_csv(self):
-        n = self.directions.shape[1]
-        header = ",".join([f"xi_{i + 1}" for i in range(n)] + [f"M_{self.k}"])
-        lines = [header]
-        for d, m in zip(self.directions, self.moments):
-            lines.append(",".join(repr(float(x)) for x in d) + f",{float(m)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def range_test(body, k, num_directions, seed=0, quad_order=None):
     """Fit M_k over a direction sample by a homogeneous degree-k polynomial.
@@ -185,6 +176,7 @@ def range_test(body, k, num_directions, seed=0, quad_order=None):
     is one section engine call.  ``quad_order=None`` uses the exact order of
     :func:`moment`; the report records the order actually used.
     """
+    _require_int("k", k, 0)
     n = body.n
     exponents = homogeneous_exponents(n, k)
     if num_directions < 2 * len(exponents):

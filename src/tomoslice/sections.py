@@ -17,7 +17,6 @@ NaN offset, and satisfy A(xi, t) = A(-xi, -t) by construction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .bodies import (
     QuadricDomain,
     UnboundedSliceError,
     _direction_rows,
+    _require_int,
     as_direction,
     chord_interval,
     unit_ball_volume,
@@ -95,13 +95,6 @@ class SectionProfile:
     def __len__(self):
         return self.grid.size
 
-    def to_csv(self):
-        """Deterministic two-column table; floats via repr for byte stability."""
-        lines = ["t,A"]
-        for t, a in zip(self.grid, self.values):
-            lines.append(f"{float(t)!r},{float(a)!r}")
-        return "\n".join(lines) + "\n"
-
     def to_dict(self):
         out = {
             "xi": self.xi.components.tolist(),
@@ -113,18 +106,6 @@ class SectionProfile:
         if self.stderr is not None:
             out["stderr"] = np.asarray(self.stderr).tolist()
         return out
-
-    @classmethod
-    def from_dict(cls, obj):
-        stderr = obj.get("stderr")
-        return cls(
-            xi=Direction(np.asarray(obj["xi"], dtype=float)),
-            grid=np.asarray(obj["grid"], dtype=float),
-            values=np.asarray(obj["values"], dtype=float),
-            n=int(obj["n"]),
-            method=obj["method"],
-            stderr=None if stderr is None else np.asarray(stderr, dtype=float),
-        )
 
 
 def _queries(xi, t, n):
@@ -150,22 +131,6 @@ def _shaped(values, ts, shape):
     return float(values) if shape == () else values
 
 
-def _ellipsoid_chord(body, D):
-    """Half-width hbar = sqrt(xi^T M^-1 xi) and midpoint c.xi of the
-    ellipsoid's chord along each row xi of an (m, n) stack, as two arrays of
-    m values.  Stacked matrix-vector products round every row like the
-    one-direction ``centered_support(xi)`` and ``c @ xi``."""
-    rows = D[:, None, :]
-    w = np.matmul(rows, body._shape_inv_factor)[:, 0, :]
-    return np.sqrt(np.vecdot(w, w)), np.matmul(rows, body.center[:, None])[:, 0, 0]
-
-
-def _vertex_heights(body, D):
-    """(m, V) heights of the polytope's vertices along each row of an (m, n)
-    stack, one matrix-vector product per row, rounding like vertices @ xi."""
-    return np.matmul(body.vertices, D[:, :, None])[..., 0]
-
-
 def section_volume_ellipsoid(body, xi, t):
     """Exact section volume of an ellipsoid.
 
@@ -182,7 +147,7 @@ def section_volume_ellipsoid(body, xi, t):
         raise TypeError("section_volume_ellipsoid expects an Ellipsoid")
     n = body.n
     D, ts, shape = _queries(xi, t, n)
-    hbar, mid = _ellipsoid_chord(body, D)
+    mid, hbar = body._chord(D)
     tau = ts - mid[:, None]
     gap = np.maximum((hbar * hbar)[:, None] - tau * tau, 0.0)
     # hbar^-n by float **, which numpy's array power does not always match
@@ -212,7 +177,7 @@ def section_volume_polytope(body, xi, t):
     if not isinstance(body, Polytope):
         raise TypeError("section_volume_polytope expects a Polytope")
     D, ts, shape = _queries(xi, t, body.n)
-    h = _vertex_heights(body, D)
+    h = body._heights(D)
     low = h.min(axis=1)[:, None]
     inside = (ts >= low) & (ts <= h.max(axis=1)[:, None])
     # knots (m, 1, S, n + 1) against offsets (m, k, 1, 1); an offset outside
@@ -355,8 +320,7 @@ def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, b
     n = body.n
     if d.n != n:
         raise ValueError("direction dimension does not match the body")
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    _require_int("samples", samples, 1)
     if box is None:
         if isinstance(body, QuadricDomain):
             raise ValueError("unbounded body: supply a truncation box")

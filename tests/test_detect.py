@@ -157,7 +157,7 @@ def test_report_serialization():
     assert d["seed"] == 2
 
 
-def test_is_ellipsoid_makes_three_support_calls(monkeypatch):
+def test_is_ellipsoid_makes_two_support_calls(monkeypatch):
     calls = []
     real = Ellipsoid.support
 
@@ -171,8 +171,8 @@ def test_is_ellipsoid_makes_three_support_calls(monkeypatch):
         calls.clear()
         report = is_ellipsoid(body, num_directions=num, seed=1)
         assert report.accepted
-        # h(xi) and h(-xi) for the center, h(xi) for the quadratic form
-        assert calls == [(num, 3)] * 3
+        # h(xi) and h(-xi), read by both the center and the quadratic form
+        assert calls == [(num, 3)] * 2
         calls.clear()
         section_consistency_check(body, report, num_probes=25, seed=0)
         assert calls == [(25, 3)] * 2

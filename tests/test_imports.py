@@ -1,9 +1,11 @@
 import ast
+import importlib
 from pathlib import Path
 
 import tomoslice
 
 PACKAGE = Path(tomoslice.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(tree):
@@ -71,4 +73,33 @@ def test_no_dead_module_level_names():
         for name, line in _module_level_names(tree).items()
         if name not in read
     }
+    assert dead == {}, dead
+
+
+def _methods(tree):
+    """(class, name, line) for every method and property a module's classes
+    define, other than dunder methods such as ``__post_init__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield node.name, item.name, item.lineno
+
+
+def test_no_dead_methods():
+    """Every method or property of a package class is read as an attribute in
+    the package or its tests.  One that overrides a base-class method, such
+    as an ArgumentParser's ``error``, is exempt: the base class calls it."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    read = set()
+    for path in paths + sorted(TESTS.glob("*.py")):
+        read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    dead = {}
+    for path in paths:
+        module = None
+        for cls_name, name, line in _methods(ast.parse(path.read_text(encoding="utf-8"))):
+            module = module or importlib.import_module(f"tomoslice.{path.stem}")
+            bases = getattr(module, cls_name).__mro__[1:]
+            if name not in read and not any(name in vars(base) for base in bases):
+                dead[(path.name, f"{cls_name}.{name}")] = line
     assert dead == {}, dead

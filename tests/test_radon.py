@@ -13,6 +13,7 @@ from tomoslice.bodies import (
     Polytope,
     QuadricDomain,
     InfiniteSupportError,
+    chord_interval,
     random_ellipsoid,
     random_rotation,
     random_simplex,
@@ -26,6 +27,7 @@ from tomoslice.radon import (
     monomial_design_matrix,
     range_test,
 )
+from tomoslice.sections import section_volume
 
 E1 = Direction(np.array([1.0, 0.0, 0.0]))
 E3 = Direction(np.array([0.0, 0.0, 1.0]))
@@ -154,8 +156,6 @@ def test_moment_report_serialization():
     d = report.to_dict()
     assert d["k"] == 2
     assert len(d["fit_coefficients"]) == 6
-    csv = report.to_csv()
-    assert csv.splitlines()[0] == "xi_1,xi_2,xi_3,M_2"
 
 
 # exact polytope moments against the closed-form simplex moment
@@ -241,7 +241,7 @@ def test_generic_cube_moment_makes_one_section_call(monkeypatch):
 def test_moment_order_must_be_a_nonnegative_integer():
     cube = Polytope.cube(3)
     for bad in (-1, 1.5):
-        with pytest.raises(ValueError, match="non-negative integer"):
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
             moment(cube, E3, bad)
     # no cap on k: int_{-1}^{1} 4 t^10 dt = 8/11
     assert moment(cube, E3, 10) == pytest.approx(8.0 / 11.0, rel=1e-13)
@@ -268,8 +268,20 @@ def test_explicit_quad_order_one_reproduces_the_default():
         assert np.array_equal(explicit.moments, default.moments)
         assert np.array_equal(explicit.fit_coefficients, default.fit_coefficients)
     for bad in (0, 1.5):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="quad_order must be an integer >= 1"):
             moment(ell, E3, 0, quad_order=bad)
+
+
+@pytest.mark.parametrize(
+    "name, k, quad_order",
+    [("quad_order", 2, bad) for bad in (3.0, 2.5, True, -1)] + [("k", bad, None) for bad in (1.5, True, -1)],
+)
+def test_moment_and_range_test_take_only_integer_orders(name, k, quad_order):
+    cube = Polytope.cube(3)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        moment(cube, E3, k, quad_order=quad_order)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        range_test(cube, k, 40, quad_order=quad_order)
 
 
 # ---------------------------------------------------------------- direction stacks
@@ -323,6 +335,17 @@ def test_moment_stack_validation():
     par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
     with pytest.raises(InfiniteSupportError):
         moment(par, np.array([[0.0, 0.0, -1.0], [0.0, 0.6, -0.8]]), 0)
+
+
+@pytest.mark.parametrize("body", [random_ellipsoid(3, seed=4), Polytope.cube(3)], ids=["ellipsoid", "polytope"])
+def test_empty_direction_stack_is_rejected_by_every_entry_point(body):
+    empty = np.zeros((0, 3))
+    with pytest.raises(ValueError, match="direction stack is empty"):
+        chord_interval(body, empty)
+    with pytest.raises(ValueError, match="direction stack is empty"):
+        section_volume(body, empty, np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="direction stack is empty"):
+        moment(body, empty, 1)
 
 
 def test_axis_aligned_cube_stack_moments():

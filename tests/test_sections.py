@@ -350,17 +350,6 @@ def test_profile_mc_has_stderr_and_matches():
     assert np.all(np.abs(prof.values - exact) <= 4.0 * np.maximum(prof.stderr, 1e-12))
 
 
-def test_profile_round_trip_and_csv():
-    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
-    prof = profile(ball, E3, num_points=16, margin=0.1)
-    clone = SectionProfile.from_dict(prof.to_dict())
-    assert np.array_equal(clone.grid, prof.grid)
-    assert np.array_equal(clone.values, prof.values)
-    text = prof.to_csv()
-    assert text.splitlines()[0] == "t,A"
-    assert len(text.splitlines()) == 17
-
-
 # array offsets and non-finite offsets
 
 
