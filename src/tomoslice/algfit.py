@@ -30,6 +30,7 @@ from .bodies import (
     Polytope,
     QuadricDomain,
     _require_int,
+    _require_tol,
     _row_products,
     as_direction,
     chord_interval,
@@ -150,11 +151,6 @@ def _effective_degree(coefficients):
     return int(significant.max())
 
 
-def _require_tol(tol):
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-
-
 def min_m_plan(n, m_max):
     """The (m, m*(n-1)) pairs for m = 1..m_max: each power at its degree cap."""
     _require_int("m_max", m_max, 1)
@@ -222,7 +218,7 @@ def detect_min_m(prof, m_max, tol=DEFAULT_ACCEPT_TOL):
     (the honest negative: the body's sections are not polynomial-power along
     this direction at any tested m).
     """
-    _require_tol(tol)
+    _require_tol("tol", tol)
     fits = power_fits(prof, min_m_plan(prof.n, m_max))
     return next((report for report in fits if report.relative_residual < tol), None)
 
@@ -242,7 +238,7 @@ def quadric_check(body, xi, window=None, num_points=64, tol=QUADRIC_TOL):
     """
     if not isinstance(body, QuadricDomain):
         raise TypeError("quadric_check expects a quadric domain body")
-    _require_tol(tol)
+    _require_tol("tol", tol)
     if window is None:
         entry = -body.support(-np.asarray(xi.components))
         if not math.isfinite(entry):
@@ -395,8 +391,7 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2), num_points=16):
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
-    if num_points < 12:
-        raise ValueError("need at least 12 regression points")
+    _require_int("num_points", num_points, 12)
     try:
         t_lo, t_hi = chord_interval(body, d)
     except InfiniteSupportError:
@@ -477,6 +472,7 @@ def principal_curvatures(body, xi, step=1e-4):
     front and searched together as arrays, so one curvature makes at most
     1 + 256 + 70 ``contains_points`` calls and no ``contains`` call.
     """
+    _require_tol("step", step)
     d = as_direction(xi)
     v = d.components
     x0 = body.argmax_support(v)

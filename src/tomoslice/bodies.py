@@ -129,6 +129,13 @@ def _require_int(name, value, least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _require_tol(name, value):
+    """A ValueError naming ``name`` unless value is a finite positive number,
+    as a tolerance or a step must be."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def _direction_rows(xi, n):
     """One direction or a direction stack as an (m, n) array of unit rows, and
     whether xi was a stack.  One direction (a Direction or a 1-d unit
@@ -503,8 +510,7 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 def fibonacci_sphere(count):
     """Deterministic, well-spread set of ``count`` unit vectors on S^2."""
-    if count < 1:
-        raise ValueError("need at least one direction")
+    _require_int("count", count, 1)
     i = np.arange(count)
     z = 1.0 - 2.0 * (i + 0.5) / count
     r = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
@@ -515,6 +521,7 @@ def fibonacci_sphere(count):
 def sample_directions(n, count, seed=0, antithetic=False):
     """Direction set on S^{n-1}: Fibonacci lattice for n = 3, otherwise a
     seeded uniform sample (optionally as antithetic +/- pairs)."""
+    _require_int("count", count, 1)
     if n == 3:
         return fibonacci_sphere(count)
     rng = np.random.Generator(np.random.Philox(seed))

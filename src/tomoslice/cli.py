@@ -1,13 +1,17 @@
 """Command line front end.
 
 Subcommands: profile, moments, algfit, detect, asymptote, quadric-check.
-Exit codes: 0 on success, 2 when a check ran cleanly but reached a negative
-verdict (reject, or no workable power), 1 on errors such as malformed body
-JSON or a non-finite value in a report (reports are standard JSON, never
-NaN or Infinity).  Output is byte deterministic for a fixed configuration
-and seed: JSON is dumped with sorted keys and CSV floats are written via
-repr, and every report embeds the fully resolved configuration.  Run it as
-``tomoslice`` or ``python -m tomoslice``.
+Each subcommand declares the options it reads (``_COMMANDS``) and accepts
+only those besides --body, --out and --format; any other option is a usage
+error.  Exit codes: 0 on success, 2 when a check ran cleanly but reached a
+negative verdict (reject, or no workable power), 1 on errors such as
+malformed body JSON, a usage error or a non-finite value in a report
+(reports are standard JSON, never NaN or Infinity).  Output is byte
+deterministic for a fixed configuration and seed: JSON is dumped with sorted
+keys and CSV floats are written via repr, and every report embeds its
+resolved configuration: the command, the body, the format and the value of
+each option the subcommand reads.  Run it as ``tomoslice`` or ``python -m
+tomoslice``.
 """
 
 from __future__ import annotations
@@ -17,35 +21,16 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 
 from . import algfit, detect, radon, sections
 from .algfit import quadric_check
-from .bodies import Direction, body_to_dict, chord_interval, load_body
+from .bodies import Direction, _require_tol, body_to_dict, chord_interval, load_body
 
-__all__ = ["ExperimentConfig", "quadric_check", "run", "main"]
+__all__ = ["quadric_check", "run", "main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved run configuration, embedded into every report."""
-
-    command: str
-    body: dict
-    xi: list | None
-    grid: int
-    margin: float
-    m_max: int
-    tol: float
-    quad_order: int | None
-    directions: int
-    seed: int
-    format: str
-    window: list | None = None
 
 
 def _parse_xi(text, n):
@@ -75,7 +60,7 @@ def _dumps(obj, **kwargs):
 
 
 def _json_report(config, payload):
-    return _dumps({"config": asdict(config), **payload}, indent=2) + "\n"
+    return _dumps({"config": config, **payload}, indent=2) + "\n"
 
 
 def _csv_field(x):
@@ -87,7 +72,7 @@ def _csv_field(x):
 
 
 def _csv_report(config, header, rows):
-    lines = ["# config " + _dumps(asdict(config)), header]
+    lines = ["# config " + _dumps(config), header]
     for row in rows:
         lines.append(",".join(_csv_field(x) for x in row))
     return "\n".join(lines) + "\n"
@@ -95,13 +80,9 @@ def _csv_report(config, header, rows):
 
 def _cmd_profile(body, xi, config):
     prof = sections.profile(
-        body,
-        xi,
-        num_points=config.grid,
-        margin=config.margin,
-        window=None if config.window is None else tuple(config.window),
+        body, xi, num_points=config["grid"], margin=config["margin"], window=config["window"]
     )
-    if config.format == "json":
+    if config["format"] == "json":
         return _json_report(config, {"profile": prof.to_dict()}), EXIT_OK
     rows = [(float(t), float(a)) for t, a in zip(prof.grid, prof.values)]
     return _csv_report(config, "t,A", rows), EXIT_OK
@@ -109,10 +90,10 @@ def _cmd_profile(body, xi, config):
 
 def _cmd_moments(body, xi, config):
     reports = [
-        radon.range_test(body, k, config.directions, seed=config.seed, quad_order=config.quad_order)
+        radon.range_test(body, k, config["directions"], seed=config["seed"], quad_order=config["quad_order"])
         for k in (0, 1, 2)
     ]
-    if config.format == "json":
+    if config["format"] == "json":
         return _json_report(config, {"reports": [r.to_dict() for r in reports]}), EXIT_OK
     rows = []
     for rep in reports:
@@ -124,11 +105,11 @@ def _cmd_moments(body, xi, config):
 
 
 def _cmd_algfit(body, xi, config):
-    plan = algfit.min_m_plan(body.n, config.m_max)
-    prof = sections.profile(body, xi, num_points=config.grid, margin=config.margin)
+    plan = algfit.min_m_plan(body.n, config["m_max"])
+    prof = sections.profile(body, xi, num_points=config["grid"], margin=config["margin"])
     reports = list(algfit.power_fits(prof, plan))
     sweep = [{"m": r.m, "degree": r.degree, "relative_residual": r.relative_residual} for r in reports]
-    winner = next((r for r in reports if r.relative_residual < config.tol), None)
+    winner = next((r for r in reports if r.relative_residual < config["tol"]), None)
     if winner is not None and (winner.m * (prof.n - 1)) % 2 == 0:
         lo, hi = chord_interval(body, xi)
         algfit.root_structure(winner, hi, -lo)
@@ -138,7 +119,7 @@ def _cmd_algfit(body, xi, config):
         "winner": None if winner is None else winner.to_dict(),
     }
     code = EXIT_NEGATIVE if winner is None else EXIT_OK
-    if config.format == "json":
+    if config["format"] == "json":
         return _json_report(config, payload), code
     rows = [(s["m"], s["degree"], float(s["relative_residual"])) for s in sweep]
     return _csv_report(config, "m,D,residual", rows), code
@@ -147,13 +128,13 @@ def _cmd_algfit(body, xi, config):
 def _cmd_detect(body, xi, config):
     report = detect.is_ellipsoid(
         body,
-        tol_linear=config.tol,
-        tol_quadratic=config.tol,
-        num_directions=config.directions,
-        seed=config.seed,
+        tol_linear=config["tol"],
+        tol_quadratic=config["tol"],
+        num_directions=config["directions"],
+        seed=config["seed"],
     )
     code = EXIT_OK if report.accepted else EXIT_NEGATIVE
-    if config.format == "json":
+    if config["format"] == "json":
         return _json_report(config, {"report": report.to_dict()}), code
     rows = [
         ("verdict", report.verdict),
@@ -169,17 +150,16 @@ def _cmd_asymptote(body, xi, config):
     payload = report.to_dict()
     payload["predicted_constant"] = predicted
     payload["constant_ratio"] = report.estimated_constant / predicted
-    if config.format == "json":
+    if config["format"] == "json":
         return _json_report(config, {"report": payload}), EXIT_OK
     rows = [(float(d), float(v)) for d, v in zip(report.depths, report.values)]
     return _csv_report(config, "depth,A", rows), EXIT_OK
 
 
 def _cmd_quadric_check(body, xi, config):
-    window = None if config.window is None else tuple(config.window)
-    report = quadric_check(body, xi, window=window, num_points=config.grid, tol=config.tol)
+    report = quadric_check(body, xi, window=config["window"], num_points=config["grid"], tol=config["tol"])
     code = EXIT_OK if report["verdict"] == "conforms" else EXIT_NEGATIVE
-    if config.format == "json":
+    if config["format"] == "json":
         return _json_report(config, {"report": report}), code
     rows = [
         (r["m"], -1 if r["min_degree"] is None else r["min_degree"], float(r["relative_residual"]))
@@ -188,13 +168,31 @@ def _cmd_quadric_check(body, xi, config):
     return _csv_report(config, "m,min_degree,residual", rows), code
 
 
+# the add_argument keywords of every option a subcommand may declare
+_OPTIONS = {
+    "--xi": {"required": True, "help": "direction as comma-separated floats (normalized)"},
+    "--grid": {"type": int, "default": 64, "help": "profile grid size"},
+    "--margin": {"type": float, "default": 0.02, "help": "relative margin trimmed per chord end"},
+    "--m-max": {"type": int, "default": 4, "help": "largest power to try"},
+    "--tol": {"type": float, "default": None, "help": "acceptance tolerance"},
+    "--quad-order": {
+        "type": int,
+        "default": None,
+        "help": "quadrature nodes per piece (default: the exact order for each moment)",
+    },
+    "--directions": {"type": int, "default": 200},
+    "--seed": {"type": int, "default": 0},
+    "--window": {"default": None, "help": "explicit t window LO,HI (quadric bodies)"},
+}
+
+# each subcommand's handler and the options it reads
 _COMMANDS = {
-    "profile": (_cmd_profile, True),
-    "moments": (_cmd_moments, False),
-    "algfit": (_cmd_algfit, True),
-    "detect": (_cmd_detect, False),
-    "asymptote": (_cmd_asymptote, True),
-    "quadric-check": (_cmd_quadric_check, True),
+    "profile": (_cmd_profile, ("--xi", "--grid", "--margin", "--window")),
+    "moments": (_cmd_moments, ("--directions", "--seed", "--quad-order")),
+    "algfit": (_cmd_algfit, ("--xi", "--grid", "--margin", "--m-max", "--tol")),
+    "detect": (_cmd_detect, ("--tol", "--directions", "--seed")),
+    "asymptote": (_cmd_asymptote, ("--xi",)),
+    "quadric-check": (_cmd_quadric_check, ("--xi", "--grid", "--tol", "--window")),
 }
 
 
@@ -236,74 +234,51 @@ def _build_parser():
         description="Section volume profiles of convex bodies and their algebraic structure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--body", required=True, help="path to a body JSON file")
-        p.add_argument("--xi", default=None, help="direction as comma-separated floats (normalized)")
-        p.add_argument("--grid", type=int, default=64, help="profile grid size")
-        p.add_argument("--margin", type=float, default=0.02, help="relative margin trimmed per chord end")
-        p.add_argument("--m-max", type=int, default=4, dest="m_max", help="largest power to try")
-        p.add_argument("--tol", type=float, default=None, help="acceptance tolerance")
-        p.add_argument(
-            "--quad-order",
-            type=int,
-            default=None,
-            dest="quad_order",
-            help="quadrature nodes per piece (default: the exact order for each moment)",
-        )
-        p.add_argument("--directions", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--window", default=None, help="explicit t window LO,HI (quadric bodies)")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 _DEFAULT_TOL = {
-    "profile": 1e-6,
-    "moments": 1e-6,
     "algfit": algfit.DEFAULT_ACCEPT_TOL,
     "detect": detect.DEFAULT_TOL_EXACT,
-    "asymptote": 1e-6,
     "quadric-check": algfit.QUADRIC_TOL,
 }
+
+
+def _parse_window(text):
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("--window must be LO,HI")
+    return float(parts[0]), float(parts[1])
 
 
 def run(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_bind_signed_values(argv))
-    tol = args.tol if args.tol is not None else _DEFAULT_TOL[args.command]
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"--tol must be a finite positive number, got {tol!r}")
-    body = load_body(args.body)
-    handler, needs_xi = _COMMANDS[args.command]
+    # the parsed values are command, body, out, format and the declared options
+    config = vars(args)
+    out_path = config.pop("out")
+    if "tol" in config:
+        if config["tol"] is None:
+            config["tol"] = _DEFAULT_TOL[args.command]
+        _require_tol("--tol", config["tol"])
+    body = load_body(config["body"])
+    config["body"] = body_to_dict(body)
     xi = None
-    if args.xi is not None:
-        xi = _parse_xi(args.xi, body.n)
-    elif needs_xi:
-        raise ValueError(f"the {args.command} command requires --xi")
-    window = None
-    if args.window is not None:
-        parts = args.window.split(",")
-        if len(parts) != 2:
-            raise ValueError("--window must be LO,HI")
-        window = [float(parts[0]), float(parts[1])]
-    config = ExperimentConfig(
-        command=args.command,
-        body=body_to_dict(body),
-        xi=None if xi is None else xi.components.tolist(),
-        grid=args.grid,
-        margin=args.margin,
-        m_max=args.m_max,
-        tol=tol,
-        quad_order=args.quad_order,
-        directions=args.directions,
-        seed=args.seed,
-        format=args.format,
-        window=window,
-    )
+    if "xi" in config:
+        xi = _parse_xi(config["xi"], body.n)
+        config["xi"] = xi.components.tolist()
+    if config.get("window") is not None:
+        config["window"] = _parse_window(config["window"])
+    handler, _ = _COMMANDS[args.command]
     text, code = handler(body, xi, config)
-    _emit(text, args.out)
+    _emit(text, out_path)
     return code
 
 

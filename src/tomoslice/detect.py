@@ -22,6 +22,7 @@ from .bodies import (
     InfiniteSupportError,
     QuadricDomain,
     _require_int,
+    _require_tol,
     chord_interval,
     sample_directions,
 )
@@ -49,11 +50,6 @@ class SectionConstantError(ValueError):
 
 def _direction_set(n, num_directions, seed):
     return sample_directions(n, num_directions, seed=seed, antithetic=True)
-
-
-def _require_directions(num_directions, needed, n):
-    if num_directions < needed:
-        raise ValueError(f"need at least {needed} directions in dimension {n}")
 
 
 def _require_bounded(body):
@@ -109,7 +105,7 @@ def estimate_e(body, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     is the size of the non-linear part of the odd support data.
     """
     n = body.n
-    _require_directions(num_directions, 2 * n, n)
+    _require_int("num_directions", num_directions, 2 * n)
     _require_bounded(body)
     dirs = _direction_set(n, num_directions, seed)
     lo, hi = chord_interval(body, dirs)
@@ -124,7 +120,7 @@ def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     M^-1 and the residual measures the distance from quadratic support data.
     """
     n = body.n
-    _require_directions(num_directions, n * (n + 1), n)
+    _require_int("num_directions", num_directions, n * (n + 1))
     e = np.asarray(e, dtype=float)
     _require_bounded(body)
     dirs = _direction_set(n, num_directions, seed)
@@ -194,8 +190,10 @@ def is_ellipsoid(
     oracle calls for the documented loosening to about 1e-4.
     """
     n = body.n
-    _require_directions(num_directions, 2 * n, n)
-    _require_directions(num_directions, n * (n + 1), n)
+    # n(n+1) directions also cover the 2n of the linear stage
+    _require_int("num_directions", num_directions, n * (n + 1))
+    _require_tol("tol_linear", tol_linear)
+    _require_tol("tol_quadratic", tol_quadratic)
     _require_bounded(body)
     # both stages share one direction set and read each support value once:
     # h(xi) - h(-xi) = hi + lo exactly, as negation is exact

@@ -179,10 +179,7 @@ def range_test(body, k, num_directions, seed=0, quad_order=None):
     _require_int("k", k, 0)
     n = body.n
     exponents = homogeneous_exponents(n, k)
-    if num_directions < 2 * len(exponents):
-        raise ValueError(
-            f"need at least {2 * len(exponents)} directions for degree {k} in dimension {n}"
-        )
+    _require_int("num_directions", num_directions, 2 * len(exponents))
     dirs = sample_directions(n, num_directions, seed=seed)
     moments = moment(body, dirs, k, quad_order=quad_order)
     design = monomial_design_matrix(dirs, exponents)

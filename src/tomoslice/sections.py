@@ -381,8 +381,7 @@ def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, b
 
 def lobatto_grid(lo, hi, num):
     """Chebyshev-Lobatto points on [lo, hi], endpoints exact, increasing."""
-    if num < 2:
-        raise ValueError("need at least two grid points")
+    _require_int("num", num, 2)
     k = np.arange(num)
     s = -np.cos(np.pi * k / (num - 1))
     t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * s
@@ -426,8 +425,7 @@ def profile(
         stream, so the result does not depend on evaluation order.
     """
     d = as_direction(xi)
-    if num_points < 16:
-        raise ValueError("num_points must be at least 16")
+    _require_int("num_points", num_points, 16)
     if not 0.0 <= margin < 0.5:
         raise ValueError("margin must lie in [0, 0.5)")
     if window is None:
@@ -437,6 +435,8 @@ def profile(
     else:
         # an explicit window is honored exactly; margin only trims auto chords
         t_lo, t_hi = float(window[0]), float(window[1])
+        if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+            raise ValueError(f"window must be finite, got {tuple(window)!r}")
         if not t_hi > t_lo:
             raise ValueError("window must be a nonempty interval")
     width = t_hi - t_lo

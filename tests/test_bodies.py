@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import NonlinearConstraint, minimize
 
+from tomoslice.algfit import exponent_estimate, quadric_check
 from tomoslice.bodies import (
     Direction,
     Ellipsoid,
@@ -29,6 +30,9 @@ from tomoslice.bodies import (
     support,
     unit_ball_volume,
 )
+from tomoslice.detect import estimate_e, is_ellipsoid, quadratic_fit
+from tomoslice.radon import range_test
+from tomoslice.sections import lobatto_grid, profile
 
 E1 = Direction(np.array([1.0, 0.0, 0.0]))
 E3 = Direction(np.array([0.0, 0.0, 1.0]))
@@ -324,6 +328,39 @@ def test_fibonacci_sphere_is_deterministic_and_unit():
     b = fibonacci_sphere(100)
     assert np.array_equal(a, b)
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+
+
+_BALL = Ellipsoid.from_axes([1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("num_points", lambda: profile(_BALL, E3, num_points=16.5), id="profile"),
+        pytest.param("num_points", lambda: exponent_estimate(_BALL, E3, num_points=16.0), id="exponent_estimate"),
+        pytest.param(
+            "num_points",
+            lambda: quadric_check(QuadricDomain("paraboloid", np.ones(2)), E3, num_points=32.5),
+            id="quadric_check",
+        ),
+        pytest.param("num", lambda: lobatto_grid(0.0, 1.0, 16.5), id="lobatto_grid"),
+        pytest.param("count", lambda: fibonacci_sphere(2.5), id="fibonacci_sphere"),
+        pytest.param("count", lambda: sample_directions(3, 2.5), id="sample_directions-n3"),
+        pytest.param("count", lambda: sample_directions(4, 0), id="sample_directions-n4"),
+        pytest.param("count", lambda: sample_directions(2, True, antithetic=True), id="sample_directions-n2"),
+        pytest.param("num_directions", lambda: range_test(Polytope.cube(3), 2, 40.0), id="range_test"),
+        pytest.param("num_directions", lambda: estimate_e(_BALL, num_directions=40.0), id="estimate_e"),
+        pytest.param(
+            "num_directions",
+            lambda: quadratic_fit(_BALL, np.zeros(3), num_directions=40.0),
+            id="quadratic_fit",
+        ),
+        pytest.param("num_directions", lambda: is_ellipsoid(_BALL, num_directions=200.5), id="is_ellipsoid"),
+    ],
+)
+def test_counts_must_be_integers(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        call()
 
 
 def test_sample_directions_antithetic_pairs():

@@ -4,12 +4,13 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tomoslice import cli
-from tomoslice.bodies import Ellipsoid, Polytope, QuadricDomain, save_body
+from tomoslice.bodies import Ellipsoid, Polytope, QuadricDomain, random_ellipsoid, save_body
 
 
 @pytest.fixture()
@@ -59,8 +60,7 @@ def test_profile_csv_report(body_dir):
 
 def test_moments_report(body_dir):
     out = body_dir / "mom.json"
-    code = run_cli(["moments", "--body", body_dir / "ell.json", "--xi", "1,0,0",
-                    "--directions", "40", "--out", out])
+    code = run_cli(["moments", "--body", body_dir / "ell.json", "--directions", "40", "--out", out])
     assert code == 0
     rep = json.loads(out.read_text())
     ks = [r["k"] for r in rep["reports"]]
@@ -189,10 +189,8 @@ def test_reports_are_byte_identical_across_runs(body_dir):
     pairs = []
     for label, args in (
         ("det", ["detect", "--body", body_dir / "ell.json", "--seed", "11"]),
-        ("prof", ["profile", "--body", body_dir / "ball.json", "--xi", "0,0,1",
-                  "--grid", "16", "--seed", "11"]),
-        ("mom", ["moments", "--body", body_dir / "ell.json", "--xi", "1,0,0",
-                 "--directions", "30", "--seed", "11"]),
+        ("prof", ["profile", "--body", body_dir / "ball.json", "--xi", "0,0,1", "--grid", "16"]),
+        ("mom", ["moments", "--body", body_dir / "ell.json", "--directions", "30", "--seed", "11"]),
     ):
         a = body_dir / f"{label}_a.json"
         b = body_dir / f"{label}_b.json"
@@ -230,6 +228,78 @@ def test_missing_xi_is_error(body_dir, capsys):
     code = run_cli(["profile", "--body", body_dir / "ball.json"])
     assert code == 1
     assert "--xi" in capsys.readouterr().err
+
+
+# a non-default value of every option a subcommand may declare; --xi takes
+# the second direction of the body's pair below
+_ALTERNATIVE = {
+    "--grid": "32",
+    "--margin": "0.1",
+    "--m-max": "1",
+    "--tol": "0.5",
+    "--quad-order": "6",
+    "--directions": "100",
+    "--seed": "1",
+    "--window": "0.5,1",
+}
+
+
+def test_every_declared_option_changes_the_report(body_dir):
+    # a 4-d body, since on a 3-d body the Fibonacci lattice ignores --seed
+    save_body(random_ellipsoid(4, seed=3), body_dir / "ell4.json")
+    out = body_dir / "opt.json"
+
+    def report(args):
+        out.unlink(missing_ok=True)
+        assert run_cli([*args, "--out", out]) != 1, args
+        rep = json.loads(out.read_text())
+        del rep["config"]
+        return rep
+
+    for command, (_, options) in cli._COMMANDS.items():
+        body, xis = ("par.json", ("0,0,1", "0,0.3,1")) if command == "quadric-check" else (
+            "ell4.json", ("0,0,0,1", "0.3,-0.2,0.5,0.9"))
+        base = [command, "--body", body_dir / body, *(["--xi", xis[0]] if "--xi" in options else [])]
+        default = report(base)
+        for option in options:
+            value = xis[1] if option == "--xi" else _ALTERNATIVE[option]
+            assert report([*base, option, value]) != default, (command, option)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["profile", "--xi", "0,0,1", "--seed", "1"],
+        ["moments", "--xi", "0,0,1"],
+        ["algfit", "--xi", "0,0,1", "--window", "0,1"],
+        ["detect", "--quad-order", "4"],
+        ["asymptote", "--xi", "0,0,1", "--grid", "32"],
+        ["quadric-check", "--xi", "0,0,1", "--margin", "0.1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_an_option_the_subcommand_does_not_read_is_an_error(body_dir, capsys, args):
+    out = body_dir / "out.json"
+    assert run_cli([*args, "--body", body_dir / "ball.json", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {args[-2]} {args[-1]}")
+    assert not out.exists()
+
+
+def test_readme_command_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    examples = [line.split() for line in block.splitlines() if line.startswith("tomoslice ")]
+    assert len(examples) >= len(cli._COMMANDS)
+    for argv in examples:
+        cli._build_parser().parse_args(cli._bind_signed_values(argv[1:]))
+
+
+def test_non_finite_window_is_an_error(body_dir, capsys):
+    out = body_dir / "prof.json"
+    args = ["profile", "--body", body_dir / "ball.json", "--xi", "0,0,1", "--window", "0,inf", "--out", out]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error: window must be finite")
+    assert not out.exists()
 
 
 def test_bad_xi_dimension_is_error(body_dir, capsys):

@@ -326,6 +326,13 @@ def test_profile_margin_shrinks_window():
     assert prof.grid[-1] == pytest.approx(0.8, abs=1e-12)
 
 
+@pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_profile_rejects_a_non_finite_window(window):
+    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^window must be finite, got \("):
+        profile(ball, E3, num_points=16, window=window)
+
+
 def test_profile_unbounded_body_needs_window():
     par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
     with pytest.raises(InfiniteSupportError):
