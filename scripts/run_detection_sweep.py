@@ -18,13 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from tomoslice.algfit import detect_min_m
-from tomoslice.bodies import (
-    Direction,
-    Polytope,
-    body_to_dict,
-    random_ellipsoid,
-    random_simplex,
-)
+from tomoslice.bodies import Polytope, body_to_dict, random_ellipsoid, random_simplex
 from tomoslice.detect import is_ellipsoid, section_consistency_check
 from tomoslice.sections import profile
 
@@ -66,12 +60,13 @@ def sweep_one(label, body, config):
             body, report, num_probes=25, seed=config.seed
         )
     for _ in range(config.num_directions):
-        d = Direction.from_vector(rng.standard_normal(body.n))
+        v = rng.standard_normal(body.n)
+        d = v / np.linalg.norm(v)
         prof = profile(body, d, num_points=config.num_points, margin=0.0)
         win = detect_min_m(prof, m_max=config.m_max, tol=config.fit_tol)
         entry["directions"].append(
             {
-                "xi": d.components.tolist(),
+                "xi": d.tolist(),
                 "m": None if win is None else win.m,
                 "degree": None if win is None else win.degree,
                 "relative_residual": None if win is None else win.relative_residual,

@@ -25,18 +25,17 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .bodies import (
-    Direction,
     InfiniteSupportError,
     Polytope,
     QuadricDomain,
+    _one_direction,
     _require_int,
     _require_tol,
     _row_products,
-    as_direction,
     chord_interval,
     unit_ball_volume,
 )
-from .sections import profile, section_volume
+from .sections import _finite_window, profile, section_volume
 
 __all__ = [
     "AlgebraicFitReport",
@@ -102,10 +101,10 @@ class AlgebraicFitReport:
     maps the sampled span to [-1, 1]; (t_lo, t_hi) pin that affine change of
     variable.  effective_degree ignores coefficients below 1e-9 of the largest
     one.  grid and power_samples are retained so later stages (root structure)
-    can rescore the same data.
+    can rescore the same data.  xi is the profile's read-only unit direction.
     """
 
-    xi: Direction
+    xi: np.ndarray
     n: int
     m: int
     degree: int
@@ -125,7 +124,7 @@ class AlgebraicFitReport:
 
     def to_dict(self):
         out = {
-            "xi": self.xi.components.tolist(),
+            "xi": self.xi.tolist(),
             "n": self.n,
             "m": self.m,
             "degree": self.degree,
@@ -239,14 +238,15 @@ def quadric_check(body, xi, window=None, num_points=64, tol=QUADRIC_TOL):
     if not isinstance(body, QuadricDomain):
         raise TypeError("quadric_check expects a quadric domain body")
     _require_tol("tol", tol)
+    d = _one_direction(xi, body.n)
     if window is None:
-        entry = -body.support(-np.asarray(xi.components))
+        entry = -body.support(-d)
         if not math.isfinite(entry):
             raise InfiniteSupportError(
                 "no finite entry offset along this direction; pass an explicit window"
             )
         window = (entry + 0.5, entry + 4.0)
-    prof = profile(body, xi, num_points=num_points, margin=0.0, window=window)
+    prof = profile(body, d, num_points=num_points, margin=0.0, window=window)
     if np.all(prof.values == 0.0):
         raise ValueError("window misses the body: all section values vanish")
     results = []
@@ -320,7 +320,7 @@ def root_structure(report, h_plus, h_minus, conform_tol=CONFORM_TOL):
 
 
 def normalized_section_constant(body, xi, t=None):
-    """Direction-wise section coefficient, rescaled to be direction-free for
+    """Per-direction section coefficient, rescaled to be direction-free for
     quadratically supported bodies.
 
     Writing A(xi, t) = C(xi) * ((h_plus - t)(h_minus + t))^{(n-1)/2}, the raw
@@ -328,7 +328,7 @@ def normalized_section_constant(body, xi, t=None):
     leaves a constant that moment conditions force to be direction
     independent.  Evaluated at the chord midpoint unless t is given.
     """
-    d = as_direction(xi)
+    d = _one_direction(xi, body.n)
     t_lo, t_hi = chord_interval(body, d)
     if t is None:
         t = 0.5 * (t_lo + t_hi)
@@ -353,10 +353,11 @@ class AsymptoticReport:
     estimated_exponent and estimated_constant come from a log-log regression
     of A(t0 - delta) over a log-spaced window of depths delta.  The exponent
     should be (n-1)/2 for smooth strictly convex bodies; the constant is to
-    be compared against :func:`predicted_boundary_constant`.
+    be compared against :func:`predicted_boundary_constant`.  xi is a
+    read-only copy of the unit direction.
     """
 
-    xi: Direction
+    xi: np.ndarray
     t0: float
     estimated_exponent: float
     estimated_constant: float
@@ -367,7 +368,7 @@ class AsymptoticReport:
 
     def to_dict(self):
         return {
-            "xi": self.xi.components.tolist(),
+            "xi": self.xi.tolist(),
             "t0": self.t0,
             "estimated_exponent": self.estimated_exponent,
             "estimated_constant": self.estimated_constant,
@@ -387,8 +388,8 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2), num_points=16):
     """
     if isinstance(body, Polytope):
         raise TypeError("boundary power laws need a strictly convex body")
-    d = as_direction(xi)
-    lo, hi = float(window[0]), float(window[1])
+    d = _one_direction(xi, body.n)
+    lo, hi = _finite_window(window)
     if not 0.0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
     _require_int("num_points", num_points, 12)
@@ -396,7 +397,7 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2), num_points=16):
         t_lo, t_hi = chord_interval(body, d)
     except InfiniteSupportError:
         # unbounded body: no chord to scale by, take the window in absolute units
-        t_hi = body.support(d.components)
+        t_hi = body.support(d)
         if not math.isfinite(t_hi):
             raise
         width = 1.0
@@ -473,8 +474,7 @@ def principal_curvatures(body, xi, step=1e-4):
     1 + 256 + 70 ``contains_points`` calls and no ``contains`` call.
     """
     _require_tol("step", step)
-    d = as_direction(xi)
-    v = d.components
+    v = _one_direction(xi, body.n)
     x0 = body.argmax_support(v)
     U = _tangent_frame(v)
     k = U.shape[1]

@@ -18,6 +18,10 @@ matrix-vector product per row (``_row_products``), so a stack row of
 ``support`` or ``chord_interval`` equals its one-direction call bit for bit.
 Membership works the same way: ``contains(x)`` is the one-row case of
 ``contains_points(X)``, so a point gets the same verdict alone or in a batch.
+
+Every entry point of the package reads a direction through
+``_direction_rows``: a unit direction is a 1-d array of shape (n,), and
+where a stack is accepted, an (m, n) array of unit rows.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "Ellipsoid",
     "Polytope",
     "QuadricDomain",
-    "as_direction",
     "support",
     "contains",
     "chord_interval",
@@ -77,28 +80,16 @@ def unit_ball_volume(d):
 
 @dataclass(frozen=True, eq=False)
 class Direction:
-    """Unit vector used as a hyperplane normal.
-
-    The constructor insists on unit Euclidean norm (within 1e-12); use
-    :meth:`from_vector` to normalize an arbitrary nonzero vector.
-    """
+    """A unit vector held as an object.  Every entry point takes the plain
+    1-d array, which numpy reads out of a Direction; the class remains for
+    callers written against it.  The constructor checks its components by
+    the rule every entry point applies (``_direction_rows``)."""
 
     components: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.components, dtype=float)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("a direction must be a 1-d vector of dimension >= 2")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("direction components must be finite")
-        if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-            raise ValueError("direction must have unit Euclidean norm")
-        object.__setattr__(self, "components", v.copy())
-        self.components.setflags(write=False)
-
-    @property
-    def n(self):
-        return self.components.size
+        object.__setattr__(self, "components", _one_direction(v, np.atleast_1d(v).shape[-1]))
 
     @classmethod
     def from_vector(cls, v):
@@ -111,15 +102,8 @@ class Direction:
     def __neg__(self):
         return Direction(-self.components)
 
-    def __repr__(self):
-        return f"Direction({self.components.tolist()!r})"
-
-
-def as_direction(xi):
-    """Coerce a Direction or unit array-like to Direction."""
-    if isinstance(xi, Direction):
-        return xi
-    return Direction(np.asarray(xi, dtype=float))
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.components, dtype=dtype, copy=copy)
 
 
 def _require_int(name, value, least):
@@ -138,21 +122,37 @@ def _require_tol(name, value):
 
 def _direction_rows(xi, n):
     """One direction or a direction stack as an (m, n) array of unit rows, and
-    whether xi was a stack.  One direction (a Direction or a 1-d unit
-    array-like) is the one-row stack; a 2-d array is a stack of at least one
-    row, whose rows must be finite with unit Euclidean norm (within 1e-12),
-    as for a Direction."""
-    stacked = not isinstance(xi, Direction) and np.ndim(xi) == 2
-    D = np.asarray(xi, dtype=float) if stacked else as_direction(xi).components[None]
+    whether xi was a stack.  This is the one place a direction is read and
+    checked.  One direction, a 1-d array-like, is the one-row stack; a stack
+    is a 2-d array-like of at least one row.  Every row must be finite with
+    unit Euclidean norm (within 1e-12)."""
+    D = np.asarray(xi, dtype=float)
+    stacked = D.ndim == 2
+    if not stacked:
+        if D.ndim != 1:
+            raise ValueError(f"a direction is a 1-d array or an (m, n) stack of rows, got shape {D.shape}")
+        D = D[None]
     if D.shape[1] != n:
         raise ValueError(f"directions have {D.shape[1]} components, the body has dimension {n}")
     if len(D) == 0:
         raise ValueError(f"the direction stack is empty: shape {D.shape} has no rows")
-    # a NaN row fails the norm test too, but is reported as not finite
-    if stacked and not (np.abs(np.sqrt(np.vecdot(D, D)) - 1.0) <= _UNIT_TOL).all():
+    # a NaN row fails the norm test too (max propagates NaN), but is
+    # reported as not finite
+    if not np.abs(np.sqrt(np.vecdot(D, D)) - 1.0).max() <= _UNIT_TOL:
         rule = "have unit Euclidean norm" if np.isfinite(D).all() else "be finite"
-        raise ValueError(f"direction stack rows must {rule}")
+        raise ValueError(f"directions must {rule}")
     return D, stacked
+
+
+def _one_direction(xi, n):
+    """One direction, checked by ``_direction_rows``, as a read-only float
+    copy of shape (n,); a stack is an error."""
+    D, stacked = _direction_rows(xi, n)
+    if stacked:
+        raise ValueError(f"expected one direction of shape ({n},), got a stack of shape {D.shape}")
+    v = D[0].copy()
+    v.setflags(write=False)
+    return v
 
 
 def _row_products(A, X):
@@ -478,7 +478,7 @@ class QuadricDomain:
 
 def support(body, xi):
     """Support function h_K(xi) = sup_{x in K} x.xi for a unit direction."""
-    return body.support(as_direction(xi).components)
+    return body.support(_one_direction(xi, body.n))
 
 
 def contains(body, x):

@@ -3,10 +3,12 @@
 Subcommands: profile, moments, algfit, detect, asymptote, quadric-check.
 Each subcommand declares the options it reads (``_COMMANDS``) and accepts
 only those besides --body, --out and --format; any other option is a usage
-error.  Exit codes: 0 on success, 2 when a check ran cleanly but reached a
-negative verdict (reject, or no workable power), 1 on errors such as
-malformed body JSON, a usage error or a non-finite value in a report
-(reports are standard JSON, never NaN or Infinity).  Output is byte
+error, reported with the subcommand's usage, and so are --margin and
+--window together, since --margin trims only the automatic chord that
+--window replaces.  Exit codes: 0 on success, 2 when a check ran cleanly
+but reached a negative verdict (reject, or no workable power), 1 on errors
+such as malformed body JSON, a usage error or a non-finite value in a
+report (reports are standard JSON, never NaN or Infinity).  Output is byte
 deterministic for a fixed configuration and seed: JSON is dumped with sorted
 keys and CSV floats are written via repr, and every report embeds its
 resolved configuration: the command, the body, the format and the value of
@@ -22,9 +24,11 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import algfit, detect, radon, sections
 from .algfit import quadric_check
-from .bodies import Direction, _require_tol, body_to_dict, chord_interval, load_body
+from .bodies import _require_tol, body_to_dict, chord_interval, load_body
 
 __all__ = ["quadric_check", "run", "main"]
 
@@ -40,7 +44,11 @@ def _parse_xi(text, n):
         raise ValueError(f"--xi must be comma-separated floats, got {text!r}")
     if len(parts) != n:
         raise ValueError(f"--xi has dimension {len(parts)} but the body has dimension {n}")
-    return Direction.from_vector(parts)
+    v = np.array(parts)
+    norm = np.linalg.norm(v)
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    return v / norm
 
 
 def _emit(text, out_path):
@@ -172,7 +180,7 @@ def _cmd_quadric_check(body, xi, config):
 _OPTIONS = {
     "--xi": {"required": True, "help": "direction as comma-separated floats (normalized)"},
     "--grid": {"type": int, "default": 64, "help": "profile grid size"},
-    "--margin": {"type": float, "default": 0.02, "help": "relative margin trimmed per chord end"},
+    "--margin": {"type": float, "default": None, "help": "relative margin trimmed per chord end (default 0.02)"},
     "--m-max": {"type": int, "default": 4, "help": "largest power to try"},
     "--tol": {"type": float, "default": None, "help": "acceptance tolerance"},
     "--quad-order": {
@@ -198,10 +206,21 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as ValueError, so they exit with EXIT_ERROR like
-    every other bad input instead of argparse's SystemExit(2)."""
+    every other bad input instead of argparse's SystemExit(2).  Every parser,
+    a subcommand's included, rejects the arguments it does not recognize
+    itself, so the error shows that parser's usage."""
 
     def error(self, message):
         raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        # --margin trims only the automatic chord, which --window replaces
+        if getattr(namespace, "margin", None) is not None and getattr(namespace, "window", None) is not None:
+            self.error("argument --margin: not allowed with argument --window")
+        return namespace, extras
 
 
 # options whose value may start with "-", as in --xi -1,0,0
@@ -244,6 +263,7 @@ def _build_parser():
     return parser
 
 
+_DEFAULT_MARGIN = 0.02
 _DEFAULT_TOL = {
     "algfit": algfit.DEFAULT_ACCEPT_TOL,
     "detect": detect.DEFAULT_TOL_EXACT,
@@ -268,12 +288,14 @@ def run(argv=None):
         if config["tol"] is None:
             config["tol"] = _DEFAULT_TOL[args.command]
         _require_tol("--tol", config["tol"])
+    if "margin" in config and config["margin"] is None:
+        config["margin"] = _DEFAULT_MARGIN
     body = load_body(config["body"])
     config["body"] = body_to_dict(body)
     xi = None
     if "xi" in config:
         xi = _parse_xi(config["xi"], body.n)
-        config["xi"] = xi.components.tolist()
+        config["xi"] = xi.tolist()
     if config.get("window") is not None:
         config["window"] = _parse_window(config["window"])
     handler, _ = _COMMANDS[args.command]

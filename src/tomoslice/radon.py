@@ -108,8 +108,7 @@ def moment(target, xi, k, quad_order=None):
         half = 0.5 * (tau[:, 1:] - tau[:, :-1])
         nodes = (0.5 * (tau[:, :-1] + tau[:, 1:]) + half * s).reshape(len(D), -1)
         weights = (half * w).reshape(len(D), -1)
-    # xi itself, not D: one direction then skips the stack's unit-norm check
-    values = section_volume(target, xi, nodes)
+    values = section_volume(target, D, nodes)
     out = np.sum(weights * values * nodes**k, axis=1)
     return out if stacked else float(out[0])
 
@@ -169,12 +168,13 @@ class MomentReport:
 def range_test(body, k, num_directions, seed=0, quad_order=None):
     """Fit M_k over a direction sample by a homogeneous degree-k polynomial.
 
-    Directions come from the Fibonacci lattice for n = 3 and from a seeded
-    uniform sample otherwise.  Requires at least twice as many directions as
-    degree-k monomials; raises if the design matrix is rank deficient.  The
-    moments come from one :func:`moment` call on the direction stack, which
-    is one section engine call.  ``quad_order=None`` uses the exact order of
-    :func:`moment`; the report records the order actually used.
+    The directions come from the Fibonacci lattice for n = 3 and from a
+    seeded uniform sample otherwise.  Requires at least twice as many
+    directions as degree-k monomials; raises if the design matrix is rank
+    deficient.  The moments come from one :func:`moment` call on the
+    direction stack, which is one section engine call.  ``quad_order=None``
+    uses the exact order of :func:`moment`; the report records the order
+    actually used.
     """
     _require_int("k", k, 0)
     n = body.n

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (
-    Direction,
     Ellipsoid,
     InfiniteSupportError,
     PARABOLOID,
@@ -30,8 +29,8 @@ from .bodies import (
     QuadricDomain,
     UnboundedSliceError,
     _direction_rows,
+    _one_direction,
     _require_int,
-    as_direction,
     chord_interval,
     unit_ball_volume,
 )
@@ -47,65 +46,49 @@ __all__ = [
     "lobatto_grid",
 ]
 
-EXACT = "exact"
-MONTE_CARLO = "monte-carlo"
-
-
 @dataclass(eq=False)
 class SectionProfile:
-    """Sampled section volume function of one body along one direction.
+    """Exactly sampled section volume function of one body along one direction.
 
     Attributes
     ----------
-    xi : Direction
+    xi : ndarray
+        The unit direction, shape (n,), held as a read-only copy.
     grid : ndarray
         Strictly increasing offsets t, inside the chord interval.
     values : ndarray
         A(xi, t) on the grid, nonnegative.
     n : int
         Ambient dimension.
-    method : str
-        "exact" or "monte-carlo".
-    stderr : ndarray or None
-        Per-point standard errors when method is "monte-carlo".
     """
 
-    xi: Direction
+    xi: np.ndarray
     grid: np.ndarray
     values: np.ndarray
     n: int
-    method: str = EXACT
-    stderr: np.ndarray | None = None
 
     def __post_init__(self):
-        self.xi = as_direction(self.xi)
+        self.xi = _one_direction(self.xi, self.n)
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.method not in (EXACT, MONTE_CARLO):
-            raise ValueError(f"unknown profile method {self.method!r}")
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise ValueError("grid and values must be 1-d arrays of equal length")
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         if np.any(self.values < 0):
             raise ValueError("section volumes cannot be negative")
-        if self.xi.n != self.n:
-            raise ValueError("direction dimension does not match the profile dimension")
 
     def __len__(self):
         return self.grid.size
 
     def to_dict(self):
-        out = {
-            "xi": self.xi.components.tolist(),
+        return {
+            "xi": self.xi.tolist(),
             "n": self.n,
-            "method": self.method,
+            "method": "exact",
             "grid": self.grid.tolist(),
             "values": self.values.tolist(),
         }
-        if self.stderr is not None:
-            out["stderr"] = np.asarray(self.stderr).tolist()
-        return out
 
 
 def _queries(xi, t, n):
@@ -316,10 +299,8 @@ def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, b
     A NaN offset gives (nan, nan), as in the exact engines; a slab that
     misses the box gives (0.0, 0.0).
     """
-    d = as_direction(xi)
     n = body.n
-    if d.n != n:
-        raise ValueError("direction dimension does not match the body")
+    v = _one_direction(xi, n)
     _require_int("samples", samples, 1)
     if box is None:
         if isinstance(body, QuadricDomain):
@@ -333,14 +314,14 @@ def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, b
         raise ValueError("sampling box must be finite")
     if np.any(hi <= lo):
         raise ValueError("bounding box has nonpositive volume")
-    Q = _householder_frame(d.components)
+    Q = _householder_frame(v)
     # the box's support at every row of Q and -Q, in closed form
     V = np.concatenate([Q, -Q])
     h = np.maximum(V * lo, V * hi).sum(axis=1)
     r_lo, r_hi = -h[n:], h[:n]
     if slab_halfwidth is None:
         try:
-            t_lo, t_hi = chord_interval(body, d)
+            t_lo, t_hi = chord_interval(body, v)
         except InfiniteSupportError:
             # unbounded body: scale the slab by the box extent along xi instead
             t_lo, t_hi = r_lo[0], r_hi[0]
@@ -389,18 +370,18 @@ def lobatto_grid(lo, hi, num):
     return t
 
 
-def profile(
-    body,
-    xi,
-    num_points=64,
-    margin=0.02,
-    window=None,
-    method=EXACT,
-    samples=10**5,
-    seed=0,
-    slab_halfwidth=None,
-):
-    """Sample A(xi, .) on a Chebyshev-spaced grid inside the chord interval.
+def _finite_window(window):
+    """An explicit (lo, hi) window as two floats, or a ValueError unless both
+    are finite."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window must be finite, got {tuple(window)!r}")
+    return lo, hi
+
+
+def profile(body, xi, num_points=64, margin=0.02, window=None):
+    """Sample A(xi, .) exactly on a Chebyshev-spaced grid inside the chord
+    interval.
 
     The grid spans [t_min + margin*width, t_max - margin*width] with
     Chebyshev-Lobatto spacing (dense near the ends, where the interesting
@@ -414,17 +395,8 @@ def profile(
     window : (lo, hi), optional
         Explicit offset window, used exactly as given (margin does not apply);
         required for unbounded bodies, where no chord interval exists.
-    method : "exact" or "monte-carlo"
-        The Monte Carlo profile needs a bounded body.
-    samples, seed, slab_halfwidth
-        Monte Carlo controls, passed to ``section_volume_mc`` at every grid
-        point: ``samples`` is the budget per point (the precision of that
-        many uniform points of the bounding box, although only the region
-        around the slab is drawn) and ``slab_halfwidth`` defaults to 1e-3
-        times the window width.  Each grid point gets an independent spawned
-        stream, so the result does not depend on evaluation order.
     """
-    d = as_direction(xi)
+    d = _one_direction(xi, body.n)
     _require_int("num_points", num_points, 16)
     if not 0.0 <= margin < 0.5:
         raise ValueError("margin must lie in [0, 0.5)")
@@ -434,27 +406,8 @@ def profile(
         t_lo, t_hi = t_lo + margin * width, t_hi - margin * width
     else:
         # an explicit window is honored exactly; margin only trims auto chords
-        t_lo, t_hi = float(window[0]), float(window[1])
-        if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-            raise ValueError(f"window must be finite, got {tuple(window)!r}")
+        t_lo, t_hi = _finite_window(window)
         if not t_hi > t_lo:
             raise ValueError("window must be a nonempty interval")
-    width = t_hi - t_lo
     grid = lobatto_grid(t_lo, t_hi, num_points)
-    if method == EXACT:
-        values = section_volume(body, d, grid)
-        return SectionProfile(d, grid, values, body.n, EXACT)
-    if method != MONTE_CARLO:
-        raise ValueError(f"unknown profile method {method!r}")
-    if isinstance(body, QuadricDomain):
-        raise ValueError("the Monte Carlo profile needs a bounded body")
-    if slab_halfwidth is None:
-        slab_halfwidth = 1e-3 * width
-    streams = np.random.SeedSequence(seed).spawn(num_points)
-    values = np.empty(num_points)
-    errs = np.empty(num_points)
-    for i, t in enumerate(grid):
-        values[i], errs[i] = section_volume_mc(
-            body, d, t, slab_halfwidth=slab_halfwidth, samples=samples, seed=streams[i]
-        )
-    return SectionProfile(d, grid, values, body.n, MONTE_CARLO, stderr=errs)
+    return SectionProfile(d, grid, section_volume(body, d, grid), body.n)

@@ -529,3 +529,12 @@ def test_exponent_window_validation():
         exponent_estimate(ball, d, window=(1e-2, 1e-4))
     with pytest.raises(ValueError):
         exponent_estimate(ball, d, window=(1e-3, 0.5))
+
+
+@pytest.mark.parametrize("window", [(1e-4, math.inf), (math.nan, 1e-2), (1e-4, -math.inf)])
+def test_exponent_estimate_rejects_a_non_finite_window_before_any_fit(window, capfd):
+    par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"^window must be finite, got \("):
+        exponent_estimate(par, [0.0, 0.0, -1.0], window=window)
+    # no LAPACK complaint reaches stderr: the fit never runs
+    assert capfd.readouterr().err == ""

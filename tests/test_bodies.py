@@ -9,14 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import NonlinearConstraint, minimize
 
-from tomoslice.algfit import exponent_estimate, quadric_check
+from tomoslice.algfit import (
+    exponent_estimate,
+    normalized_section_constant,
+    principal_curvatures,
+    quadric_check,
+)
 from tomoslice.bodies import (
     Direction,
     Ellipsoid,
     InfiniteSupportError,
     Polytope,
     QuadricDomain,
-    as_direction,
     body_from_dict,
     body_to_dict,
     chord_interval,
@@ -31,8 +35,8 @@ from tomoslice.bodies import (
     unit_ball_volume,
 )
 from tomoslice.detect import estimate_e, is_ellipsoid, quadratic_fit
-from tomoslice.radon import range_test
-from tomoslice.sections import lobatto_grid, profile
+from tomoslice.radon import moment, range_test
+from tomoslice.sections import lobatto_grid, profile, section_volume, section_volume_mc
 
 E1 = Direction(np.array([1.0, 0.0, 0.0]))
 E3 = Direction(np.array([0.0, 0.0, 1.0]))
@@ -202,7 +206,39 @@ def test_direction_requires_unit_norm():
         Direction(np.array([1.0, 1.0, 1.0]))
     d = Direction.from_vector([1.0, 1.0, 1.0])
     assert np.linalg.norm(d.components) == pytest.approx(1.0, abs=1e-15)
-    assert as_direction([0.0, 1.0]).n == 2
+
+
+_ELLIPSOID = Ellipsoid.from_axes([1.4, 0.9, 1.1], center=[0.2, -0.1, 0.3])
+_PARABOLOID = QuadricDomain("paraboloid", np.array([1.0, 2.0]))
+_CUBE = Polytope.cube(3).rotated(random_rotation(3, seed=5))
+
+# every entry point that takes one direction
+_ONE_DIRECTION_CALLS = {
+    "profile": lambda xi: profile(_ELLIPSOID, xi, num_points=16),
+    "section_volume_mc": lambda xi: section_volume_mc(_ELLIPSOID, xi, 0.1, samples=2000, seed=1),
+    "exponent_estimate": lambda xi: exponent_estimate(_ELLIPSOID, xi),
+    "principal_curvatures": lambda xi: principal_curvatures(_ELLIPSOID, xi),
+    "normalized_section_constant": lambda xi: normalized_section_constant(_ELLIPSOID, xi),
+    "support": lambda xi: support(_CUBE, xi),
+    "quadric_check": lambda xi: quadric_check(_PARABOLOID, xi),
+    "chord_interval": lambda xi: chord_interval(_CUBE, xi),
+    "section_volume": lambda xi: section_volume(_CUBE, xi, np.linspace(-1.5, 1.5, 7)),
+    "moment": lambda xi: moment(_CUBE, xi, 2),
+}
+
+
+def _plain(result):
+    """A result as plain Python values, so its repr shows every float exactly."""
+    if hasattr(result, "to_dict"):
+        return result.to_dict()
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("name", _ONE_DIRECTION_CALLS)
+def test_a_unit_array_and_a_direction_give_identical_results(name):
+    call = _ONE_DIRECTION_CALLS[name]
+    v = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    assert repr(_plain(call(v))) == repr(_plain(call(Direction(v))))
 
 
 def test_ellipsoid_validation():

@@ -281,8 +281,25 @@ def test_every_declared_option_changes_the_report(body_dir):
 def test_an_option_the_subcommand_does_not_read_is_an_error(body_dir, capsys, args):
     out = body_dir / "out.json"
     assert run_cli([*args, "--body", body_dir / "ball.json", "--out", out]) == 1
-    assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {args[-2]} {args[-1]}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unrecognized arguments: {args[-2]} {args[-1]}")
+    # the usage shown is the subcommand's, which lists the options it reads
+    assert f"\nusage: tomoslice {args[0]} [-h] --body BODY" in err
     assert not out.exists()
+
+
+def test_margin_with_an_explicit_window_is_an_error(body_dir, capsys):
+    ball = body_dir / "ball.json"
+    out = body_dir / "prof.json"
+    base = ["profile", "--body", ball, "--xi", "0,0,1", "--grid", "16", "--out", out]
+    assert run_cli([*base, "--window", "-0.5,0.5", "--margin", "0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --margin: not allowed with argument --window\nusage: tomoslice profile ")
+    assert not out.exists()
+    # each alone still runs, and the config records the default margin
+    for extra in ([], ["--window", "-0.5,0.5"]):
+        assert run_cli([*base, *extra]) == 0
+        assert json.loads(out.read_text())["config"]["margin"] == 0.02
 
 
 def test_readme_command_examples_parse():

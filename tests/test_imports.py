@@ -103,3 +103,15 @@ def test_no_dead_methods():
             if name not in read and not any(name in vars(base) for base in bases):
                 dead[(path.name, f"{cls_name}.{name}")] = line
     assert dead == {}, dead
+
+
+def test_only_bodies_knows_the_direction_class():
+    """A direction is read and checked in one place, ``bodies._direction_rows``;
+    every other module takes a plain 1-d unit array or a stack."""
+    named = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "Direction" in path.read_text(encoding="utf-8") and path.name not in ("bodies.py", "__init__.py")
+    }
+    assert named == set()
+    assert not any("as_direction" in path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py"))

@@ -341,22 +341,6 @@ def test_profile_unbounded_body_needs_window():
     assert prof.values[0] == pytest.approx(4.0 * math.pi, abs=1e-12)
 
 
-def test_profile_mc_needs_bounded_body():
-    par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="Monte Carlo profile needs a bounded body"):
-        profile(par, unit([0, 0, -1]), num_points=16, window=(-4.0, -0.5), method="monte-carlo")
-
-
-def test_profile_mc_has_stderr_and_matches():
-    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
-    prof = profile(
-        ball, E3, num_points=16, margin=0.05, method="monte-carlo", samples=150_000, seed=3
-    )
-    assert prof.stderr is not None and prof.stderr.shape == prof.values.shape
-    exact = math.pi * (1.0 - prof.grid**2)
-    assert np.all(np.abs(prof.values - exact) <= 4.0 * np.maximum(prof.stderr, 1e-12))
-
-
 # array offsets and non-finite offsets
 
 
