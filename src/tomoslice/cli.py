@@ -37,6 +37,10 @@ EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 
 
+# below this norm, v.v is subnormal or zero and sqrt(v.v) loses precision
+_MIN_NORM = np.sqrt(np.finfo(float).tiny)
+
+
 def _parse_xi(text, n):
     try:
         parts = [float(p) for p in text.split(",")]
@@ -45,9 +49,15 @@ def _parse_xi(text, n):
     if len(parts) != n:
         raise ValueError(f"--xi has dimension {len(parts)} but the body has dimension {n}")
     v = np.array(parts)
-    norm = np.linalg.norm(v)
-    if norm == 0.0 or not np.isfinite(norm):
+    if not (np.isfinite(v).all() and v.any()):
         raise ValueError("cannot normalize a zero or non-finite vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not _MIN_NORM <= norm < np.inf:
+        # v.v left the normal float range: scale by max|v| first, which an
+        # ordinary vector never needs, so its bytes do not change
+        v = v / np.abs(v).max()
+        norm = np.linalg.norm(v)
     return v / norm
 
 

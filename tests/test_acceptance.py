@@ -198,23 +198,38 @@ def test_criterion_06_recovery_round_trip():
     )
 
 
-def test_criterion_07_boundary_asymptotics():
-    worst_exp = worst_const = 0.0
-    for n in (2, 3):
+def _asymptote_cases():
+    """Random ellipsoids in n = 2, 3, 4, then paraboloids and hyperboloid
+    sheets along a direction of their bounded-slice cone (mostly -x_n, as in
+    the benchmark's quadric tasks)."""
+    for n in (2, 3, 4):
         for s in range(5):
             body = random_ellipsoid(n, seed=1900 + 10 * n + s)
-            d = Direction.from_vector(
-                np.random.default_rng(2000 + 10 * n + s).standard_normal(n)
-            )
-            rep = exponent_estimate(body, d)
-            exp_err = abs(rep.estimated_exponent - (n - 1) / 2.0)
-            assert exp_err < 0.05
-            rep2 = exponent_estimate(body, d, window=(1e-4, 1e-3))
-            want = predicted_boundary_constant(body, d)
-            const_err = abs(rep2.estimated_constant - want) / want
-            assert const_err < 0.02
-            worst_exp = max(worst_exp, exp_err)
-            worst_const = max(worst_const, const_err)
+            yield body, Direction.from_vector(np.random.default_rng(2000 + 10 * n + s).standard_normal(n))
+    for s in range(6):
+        rng = np.random.default_rng(2100 + s)
+        axes = rng.uniform(0.6, 1.6, size=2)
+        if s % 2 == 0:
+            body = QuadricDomain("paraboloid", axes)
+        else:
+            body = QuadricDomain("hyperboloid-sheet", axes, float(rng.uniform(0.6, 1.6)))
+        yield body, Direction.from_vector(-np.append(rng.uniform(-0.25, 0.25, size=2), 1.0))
+
+
+def test_criterion_07_boundary_asymptotics():
+    worst_exp = worst_const = 0.0
+    for body, d in _asymptote_cases():
+        expected = (body.n - 1) / 2.0
+        # the default window, then the asymptote subcommand's window
+        rep = exponent_estimate(body, d)
+        rep2 = exponent_estimate(body, d, window=(1e-4, 1e-3))
+        exp_err = max(abs(r.estimated_exponent - expected) for r in (rep, rep2))
+        assert exp_err < 0.05
+        want = predicted_boundary_constant(body, d)
+        const_err = abs(rep2.estimated_constant - want) / want
+        assert const_err < 0.02
+        worst_exp = max(worst_exp, exp_err)
+        worst_const = max(worst_const, const_err)
     print(
         "criterion 07 PASS: exponent within %.3f of (n-1)/2, constant within %.2f%%"
         % (worst_exp, 100 * worst_const)

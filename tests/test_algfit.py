@@ -406,11 +406,16 @@ def _one_point_contains(body, x):
     return bool(x[-1] > 0.0 and x[-1] ** 2 / body.c**2 - q >= 1.0)
 
 
-def _scalar_entry_depth(body, base, inward, start=1e-14):
-    """One ray at a time: the loop the lockstep search must reproduce."""
+def _scalar_entry_depth(body, base, inward, resolution):
+    """One ray at a time: the loop the lockstep search must reproduce.
+
+    Doubling from 1e-14, then bisection until the bracket is no wider than
+    ``resolution`` or for 70 steps.  With ``resolution=0.0`` every one of the
+    70 steps runs (a zero-width bracket stays put), the rule before the
+    search stopped at each ray's float resolution."""
     if _one_point_contains(body, base):
         return 0.0
-    s = start
+    s = 1e-14
     for _ in range(256):
         if _one_point_contains(body, base + s * inward):
             break
@@ -419,6 +424,8 @@ def _scalar_entry_depth(body, base, inward, start=1e-14):
         raise ValueError("ray from the tangent plane never entered the body")
     lo, hi = 0.0, s
     for _ in range(70):
+        if hi - lo <= resolution:
+            break
         mid = 0.5 * (lo + hi)
         if _one_point_contains(body, base + mid * inward):
             hi = mid
@@ -435,7 +442,8 @@ def _scalar_principal_curvatures(body, xi, step=1e-4):
     k = U.shape[1]
 
     def depth(y):
-        return _scalar_entry_depth(body, x0 + U @ y, -v)
+        base = x0 + U @ y
+        return _scalar_entry_depth(body, base, -v, np.spacing(np.abs(base).max()))
 
     H = np.empty((k, k))
     e = np.eye(k) * step
@@ -476,6 +484,26 @@ def _count_calls(monkeypatch, cls, name, replacement=None):
     return calls
 
 
+def test_entry_depths_within_half_resolution_of_the_70_step_loop(monkeypatch):
+    rays = []
+    search = algfit_module._entry_depths
+
+    def recorded(body, bases, inward):
+        depth = search(body, bases, inward)
+        rays.append((body, bases, inward, depth))
+        return depth
+
+    monkeypatch.setattr(algfit_module, "_entry_depths", recorded)
+    for body, d in _curvature_cases():
+        principal_curvatures(body, d)
+    assert len(rays) == len(_curvature_cases())
+    for body, bases, inward, depth in rays:
+        for base, got in zip(bases, depth):
+            # the 70-step loop only narrows the bracket the new search stops at
+            resolution = np.spacing(np.abs(base).max())
+            assert abs(got - _scalar_entry_depth(body, base, inward, 0.0)) <= resolution / 2
+
+
 def test_principal_curvatures_call_counts(monkeypatch):
     for body, d in _curvature_cases():
         cls = type(body)
@@ -483,8 +511,8 @@ def test_principal_curvatures_call_counts(monkeypatch):
         batched = _count_calls(monkeypatch, cls, "contains_points")
         principal_curvatures(body, d)
         assert len(single) == 0
-        # bases, doubling steps, bisection steps
-        assert 1 + 1 + 70 <= len(batched) <= 1 + 256 + 70
+        # bases, doubling blocks of 32 steps, bisection steps to resolution
+        assert 1 + 1 + 1 <= len(batched) <= 1 + 8 + 70
         monkeypatch.undo()
 
 
@@ -495,7 +523,7 @@ def test_principal_curvatures_ray_that_never_enters(monkeypatch):
     )
     with pytest.raises(ValueError, match="never entered"):
         principal_curvatures(ball, Direction.from_vector([0.0, 0.0, 1.0]))
-    assert len(batched) == 1 + 256
+    assert len(batched) == 1 + 8
 
 
 def test_boundary_constant_matches_curvature_prediction():

@@ -324,6 +324,20 @@ def test_bad_xi_dimension_is_error(body_dir, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["1e-200,0,1e-200", "1e200,0,1e200", "1e-160,0,1e-160"])
+def test_xi_with_an_extreme_norm_is_normalized(body_dir, capsys, text):
+    out = body_dir / "prof.json"
+    assert run_cli(["profile", "--body", body_dir / "ball.json", "--xi", text, "--grid", "16", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["config"]["xi"] == [0.7071067811865475, 0.0, 0.7071067811865475]
+
+
+@pytest.mark.parametrize("text", ["0,0,0", "0,-0.0,0", "1,inf,0", "1,nan,0", "1e400,0,1"])
+def test_zero_or_non_finite_xi_is_an_error(body_dir, capsys, text):
+    assert run_cli(["profile", "--body", body_dir / "ball.json", "--xi", text]) == 1
+    assert capsys.readouterr().err == "error: cannot normalize a zero or non-finite vector\n"
+
+
 def test_threads_env_is_ignored(body_dir, monkeypatch):
     monkeypatch.setenv("TOMOSLICE_THREADS", "not-a-number")
     out = body_dir / "det.json"

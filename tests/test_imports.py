@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import tomoslice
@@ -115,3 +116,24 @@ def test_only_bodies_knows_the_direction_class():
     }
     assert named == set()
     assert not any("as_direction" in path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py"))
+
+
+def test_every_traced_name_resolves():
+    """The benchmark tracer patches package names listed in its ``TARGETS``
+    and reports a missing one as absent, not as an error.  A rename that would
+    silently drop a traced layer fails here: every plain name exists on its
+    module, and every ``*.method`` is defined on at least one body class."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TESTS.parent / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, (modname, attr, _) in tracer.TARGETS.items():
+        module = importlib.import_module(modname)
+        if attr.startswith("*."):
+            owners = [getattr(module, cls, None) for cls in tracer.BODY_CLASSES]
+            found = any(cls is not None and attr[2:] in vars(cls) for cls in owners)
+        else:
+            found = hasattr(module, attr)
+        if not found:
+            missing.append(name)
+    assert missing == []
