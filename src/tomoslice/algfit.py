@@ -156,26 +156,43 @@ def min_m_plan(n, m_max):
     return [(m, m * (n - 1)) for m in range(1, m_max + 1)]
 
 
+def _chebyshev_columns(s):
+    """T_0(s), T_1(s), ... for a 1-d array s, one array per step, by the
+    recurrence of ``chebvander`` (T_0 = s*0 + 1, T_1 = s,
+    T_i = T_{i-1}*2s - T_{i-2}), so column i equals chebvander's bit for bit."""
+    s = s + 0.0
+    prev, cur = s * 0 + 1, s
+    yield prev
+    x2 = 2 * s
+    while True:
+        yield cur
+        prev, cur = cur, cur * x2 - prev
+
+
 def power_fits(prof, plan):
     """Fit A^m by a degree-``degree`` Chebyshev series for each (m, degree)
     pair of the sequence ``plan`` in turn, yielding one AlgebraicFitReport
     per pair.
 
-    The grid is rescaled to s in [-1, 1] and the Chebyshev Vandermonde of the
-    plan's top degree is built once; each pair solves on a column prefix of
-    it, which equals its own-degree Vandermonde bit for bit.  A pair needs at
-    least 2*(degree+1) sample points so the least-squares system stays
-    comfortably overdetermined; that check, like the zero-profile one, runs
-    only when the iteration reaches the pair, so a search that stops early
-    never sees a later pair's error.  The residual is measured relative to
-    the norm of the A^m samples.
+    The grid is rescaled to s in [-1, 1], and the Chebyshev Vandermonde grows
+    by one column per degree as the iteration reaches higher pairs: a search
+    that stops at degree d builds d + 1 columns.  Each pair solves on a
+    column prefix, which equals chebvander's own-degree Vandermonde bit for
+    bit.  A pair needs at least 2*(degree+1) sample points so the
+    least-squares system stays comfortably overdetermined; that check, like
+    the zero-profile one, runs only when the iteration reaches the pair, so
+    a search that stops early never sees a later pair's error.  The residual
+    is measured relative to the norm of the A^m samples.
     """
     for m, degree in plan:
         _require_int("m", m, 1)
         _require_int("degree", degree, 0)
     t_lo, t_hi = float(prof.grid[0]), float(prof.grid[-1])
     s = (2.0 * prof.grid - (t_lo + t_hi)) / (t_hi - t_lo)
-    V = C.chebvander(s, max((degree for _, degree in plan), default=0))
+    columns = _chebyshev_columns(s)
+    # row i holds T_i(s), so a row prefix transposed has chebvander's layout
+    rows = np.empty((max((degree for _, degree in plan), default=0) + 1, s.size))
+    built = 0
     for m, degree in plan:
         if len(prof) < 2 * (degree + 1):
             raise ValueError(
@@ -185,7 +202,10 @@ def power_fits(prof, plan):
         y_norm = float(np.linalg.norm(y))
         if y_norm == 0.0:
             raise ValueError("profile is identically zero on its grid")
-        V_d = V[:, : degree + 1]
+        while built <= degree:
+            rows[built] = next(columns)
+            built += 1
+        V_d = rows[: degree + 1].T
         coef, *_ = np.linalg.lstsq(V_d, y, rcond=None)
         eff = _effective_degree(coef)
         yield AlgebraicFitReport(

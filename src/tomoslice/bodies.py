@@ -93,17 +93,33 @@ class Direction:
 
     @classmethod
     def from_vector(cls, v):
-        v = np.asarray(v, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(v / norm)
+        return cls(_normalized(v))
 
     def __neg__(self):
         return Direction(-self.components)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.components, dtype=dtype, copy=copy)
+
+
+# below this norm, v.v is subnormal or zero and sqrt(v.v) loses precision
+_MIN_NORM = math.sqrt(np.finfo(float).tiny)
+
+
+def _normalized(v):
+    """v / |v| for a finite, nonzero vector v, else a ValueError.  When v.v
+    leaves the normal float range, v is first divided by max|v|, which an
+    ordinary vector never needs, so its quotient keeps the bits of
+    v / np.linalg.norm(v)."""
+    v = np.asarray(v, dtype=float)
+    if not (np.isfinite(v).all() and v.any()):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not _MIN_NORM <= norm < np.inf:
+        v = v / np.abs(v).max()
+        norm = np.linalg.norm(v)
+    return v / norm
 
 
 def _require_int(name, value, least):
@@ -254,6 +270,14 @@ class Ellipsoid:
         w = _row_products(self._shape_inv_factor.T, D)
         return _row_products(self.center[None], D)[:, 0], np.sqrt(np.vecdot(w, w))
 
+    def _extent(self, D):
+        """(-h(-xi), h(xi)) for each row xi of an (m, n) array, from one
+        ``_chord``: mid - hbar and mid + hbar.  Negation is exact and
+        rounding is sign-symmetric, so these equal the two ``support``
+        calls bit for bit."""
+        mid, hbar = self._chord(D)
+        return mid - hbar, mid + hbar
+
     def argmax_support(self, v):
         """Boundary point where x.v attains the support value."""
         v = np.asarray(v, dtype=float)
@@ -362,6 +386,13 @@ class Polytope:
         array."""
         return _row_products(self.vertices, D)
 
+    def _extent(self, D):
+        """(-h(-xi), h(xi)) for each row xi of an (m, n) array, from one
+        ``_heights``: the smallest and largest vertex height, which equal
+        the two ``support`` calls bit for bit (negation is exact)."""
+        h = self._heights(D)
+        return h.min(axis=1), h.max(axis=1)
+
     def argmax_support(self, v):
         v = np.asarray(v, dtype=float)
         return self.vertices[int(np.argmax(self._heights(v[None])[0]))]
@@ -450,6 +481,11 @@ class QuadricDomain:
         h = np.where(unbounded, math.inf, h)
         return float(h[0]) if v.ndim == 1 else h
 
+    def _extent(self, D):
+        """(-h(-xi), h(xi)) for each row xi of an (m, n) array, with inf
+        where the body is unbounded."""
+        return -self.support(-D), self.support(D)
+
     def argmax_support(self, v):
         v = np.asarray(v, dtype=float)
         vp, vn = v[:-1], v[-1]
@@ -496,13 +532,24 @@ def chord_interval(body, xi):
     unit rows, which gives two arrays of m values whose row i equals the
     one-direction call along xi_i bit for bit.  Raises InfiniteSupportError
     if the body is unbounded along any of the directions or their negatives.
+
+    Both ends come from one geometry pass per stack (the body's
+    ``_extent``): one chord for an ellipsoid, one set of vertex heights for
+    a polytope, and the two support calls for a quadric.  Either way they
+    equal (-support(-xi), support(xi)) bit for bit.
     """
     D, stacked = _direction_rows(xi, body.n)
-    hi = body.support(D)
-    lo = -body.support(-D)
+    lo, hi = _chord_rows(body, D)
+    return (lo, hi) if stacked else (float(lo[0]), float(hi[0]))
+
+
+def _chord_rows(body, D):
+    """``chord_interval`` of an (m, n) stack that ``_direction_rows`` has
+    already checked, as two arrays of m values."""
+    lo, hi = body._extent(D)
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise InfiniteSupportError("chord interval undefined: support is infinite along this normal")
-    return (lo, hi) if stacked else (float(lo[0]), float(hi[0]))
+    return lo, hi
 
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))

@@ -24,21 +24,15 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import algfit, detect, radon, sections
 from .algfit import quadric_check
-from .bodies import _require_tol, body_to_dict, chord_interval, load_body
+from .bodies import _normalized, _require_tol, body_to_dict, chord_interval, load_body
 
 __all__ = ["quadric_check", "run", "main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
-
-
-# below this norm, v.v is subnormal or zero and sqrt(v.v) loses precision
-_MIN_NORM = np.sqrt(np.finfo(float).tiny)
 
 
 def _parse_xi(text, n):
@@ -48,17 +42,7 @@ def _parse_xi(text, n):
         raise ValueError(f"--xi must be comma-separated floats, got {text!r}")
     if len(parts) != n:
         raise ValueError(f"--xi has dimension {len(parts)} but the body has dimension {n}")
-    v = np.array(parts)
-    if not (np.isfinite(v).all() and v.any()):
-        raise ValueError("cannot normalize a zero or non-finite vector")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v)
-    if not _MIN_NORM <= norm < np.inf:
-        # v.v left the normal float range: scale by max|v| first, which an
-        # ordinary vector never needs, so its bytes do not change
-        v = v / np.abs(v).max()
-        norm = np.linalg.norm(v)
-    return v / norm
+    return _normalized(parts)
 
 
 def _emit(text, out_path):

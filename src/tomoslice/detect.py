@@ -13,6 +13,7 @@ input body's own section engine.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,55 @@ class SectionConstantError(ValueError):
     """The per-direction section coefficient failed to be direction free."""
 
 
+# the most (n, count, seed) keys each sample cache below keeps
+_CACHED_KEYS = 16
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=_CACHED_KEYS)
 def _direction_set(n, num_directions, seed):
-    return sample_directions(n, num_directions, seed=seed, antithetic=True)
+    """The support fits' direction sample
+    ``sample_directions(n, num_directions, seed, antithetic=True)`` and its
+    quadratic design (``_shape_design``), as a pair of read-only arrays
+    built once per key and kept for the last 16 keys."""
+    dirs = sample_directions(n, num_directions, seed=seed, antithetic=True)
+    return _read_only(dirs, _shape_design(dirs))
+
+
+def _shape_index(n):
+    """The (i, j) entry of the quadratic form behind each design column."""
+    return [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _shape_design(dirs):
+    """The least-squares design of xi^T S xi over the rows xi of dirs: the
+    columns xi_i^2 for i < n, then 2 xi_i xi_j for i < j in row-major
+    order, as listed by ``_shape_index``."""
+    return np.column_stack(
+        [dirs[:, i] ** 2 if i == j else 2.0 * dirs[:, i] * dirs[:, j] for i, j in _shape_index(dirs.shape[1])]
+    )
+
+
+@functools.lru_cache(maxsize=_CACHED_KEYS)
+def _probe_set(n, num_probes, seed):
+    """The replay's probe directions and offset fractions, (dirs, fracs), as
+    read-only arrays built once per key and kept for the last 16 keys.
+
+    The draws keep their order (direction, then offset fraction), so the
+    probes are those of a loop that looks up each chord before drawing t."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    G = np.empty((num_probes, n))
+    fracs = np.empty(num_probes)
+    for i in range(num_probes):
+        G[i] = rng.standard_normal(n)
+        fracs[i] = rng.random()
+    # rounds like g / np.linalg.norm(g) on every row; norm(G, axis=1) does not
+    return _read_only(G / np.sqrt(np.vecdot(G, G))[:, None], fracs)
 
 
 def _require_bounded(body):
@@ -71,26 +119,16 @@ def _fit_center(dirs, odd):
     return e, rel
 
 
-def _fit_shape(dirs, H):
-    """quadratic_fit on a given direction set and its recentered support
-    data H(xi)."""
+def _fit_shape(dirs, design, H):
+    """quadratic_fit on a direction set, its design (``_shape_design``) and
+    its recentered support data H(xi)."""
     n = dirs.shape[1]
     y = H**2
-    cols = []
-    index = []
-    for i in range(n):
-        cols.append(dirs[:, i] ** 2)
-        index.append((i, i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols.append(2.0 * dirs[:, i] * dirs[:, j])
-            index.append((i, j))
-    design = np.column_stack(cols)
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < len(index):
+    if rank < design.shape[1]:
         raise ValueError("direction set is rank deficient for the quadratic basis")
     S = np.zeros((n, n))
-    for (i, j), val in zip(index, coef):
+    for (i, j), val in zip(_shape_index(n), coef):
         S[i, j] = S[j, i] = val
     resid = float(np.linalg.norm(design @ coef - y))
     rel = resid / max(float(np.linalg.norm(y)), _RESIDUAL_GUARD)
@@ -106,8 +144,9 @@ def estimate_e(body, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     """
     n = body.n
     _require_int("num_directions", num_directions, 2 * n)
+    _require_int("seed", seed, 0)
     _require_bounded(body)
-    dirs = _direction_set(n, num_directions, seed)
+    dirs, _ = _direction_set(n, num_directions, seed)
     lo, hi = chord_interval(body, dirs)
     return _fit_center(dirs, hi + lo)
 
@@ -121,10 +160,11 @@ def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     """
     n = body.n
     _require_int("num_directions", num_directions, n * (n + 1))
+    _require_int("seed", seed, 0)
     e = np.asarray(e, dtype=float)
     _require_bounded(body)
-    dirs = _direction_set(n, num_directions, seed)
-    return _fit_shape(dirs, body.support(dirs) - 0.5 * dirs @ e)
+    dirs, design = _direction_set(n, num_directions, seed)
+    return _fit_shape(dirs, design, body.support(dirs) - 0.5 * dirs @ e)
 
 
 @dataclass(eq=False)
@@ -194,13 +234,14 @@ def is_ellipsoid(
     _require_int("num_directions", num_directions, n * (n + 1))
     _require_tol("tol_linear", tol_linear)
     _require_tol("tol_quadratic", tol_quadratic)
+    _require_int("seed", seed, 0)
     _require_bounded(body)
     # both stages share one direction set and read each support value once:
     # h(xi) - h(-xi) = hi + lo exactly, as negation is exact
-    dirs = _direction_set(n, num_directions, seed)
+    dirs, design = _direction_set(n, num_directions, seed)
     lo, hi = chord_interval(body, dirs)
     e, lin_res = _fit_center(dirs, hi + lo)
-    S, quad_res = _fit_shape(dirs, hi - 0.5 * dirs @ e)
+    S, quad_res = _fit_shape(dirs, design, hi - 0.5 * dirs @ e)
     eigvals = np.linalg.eigvalsh(S)
     definite = bool(eigvals.min() > 0.0)
     ok = lin_res < tol_linear and quad_res < tol_quadratic and definite
@@ -238,25 +279,18 @@ def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=
 
     The probes go to the section engines as one direction stack: one
     ``section_volume`` call on the input body, at each probe's offset and
-    chord midpoint, and one on the recovered ellipsoid.
+    chord midpoint, and one on the recovered ellipsoid.  The probes depend
+    only on (n, num_probes, seed) and come from a cache (``_probe_set``).
     """
     _require_int("num_probes", num_probes, 1)
+    _require_int("seed", seed, 0)
     if not constant_tol >= 0.0:
         raise ValueError(f"constant_tol must be a non-negative number, got {constant_tol!r}")
     if not report.accepted:
         raise ValueError("consistency check needs an accepted report")
     recovered = report.recovered_body()
     n = body.n
-    rng = np.random.Generator(np.random.Philox(seed))
-    # the draws keep their order (direction, then offset fraction), so the
-    # probes are those of a loop that looks up each chord before drawing t
-    G = np.empty((num_probes, n))
-    fracs = np.empty(num_probes)
-    for i in range(num_probes):
-        G[i] = rng.standard_normal(n)
-        fracs[i] = rng.random()
-    # rounds like g / np.linalg.norm(g) on every row; norm(G, axis=1) does not
-    dirs = G / np.sqrt(np.vecdot(G, G))[:, None]
+    dirs, fracs = _probe_set(n, num_probes, seed)
     t_lo, t_hi = chord_interval(body, dirs)
     width = t_hi - t_lo
     lo, hi = t_lo + 0.1 * width, t_hi - 0.1 * width

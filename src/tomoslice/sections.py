@@ -16,6 +16,7 @@ NaN offset, and satisfy A(xi, t) = A(-xi, -t) by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .bodies import (
     Polytope,
     QuadricDomain,
     UnboundedSliceError,
+    _chord_rows,
     _direction_rows,
     _one_direction,
     _require_int,
@@ -69,6 +71,18 @@ class SectionProfile:
 
     def __post_init__(self):
         self.xi = _one_direction(self.xi, self.n)
+        self._check_samples()
+
+    @classmethod
+    def _of_direction(cls, xi, grid, values, n):
+        """A profile along xi, a direction ``_one_direction`` has already
+        returned: every check of the constructor but the direction read."""
+        prof = cls.__new__(cls)
+        prof.xi, prof.grid, prof.values, prof.n = xi, grid, values, n
+        prof._check_samples()
+        return prof
+
+    def _check_samples(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
@@ -360,12 +374,20 @@ def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, b
     return estimate, stderr
 
 
+@functools.lru_cache(maxsize=32)
+def _lobatto_nodes(num):
+    """The ``num`` Chebyshev-Lobatto nodes -cos(pi k / (num - 1)) on [-1, 1]
+    as a read-only array, built once per ``num`` (at most 32 kept)."""
+    k = np.arange(num)
+    s = -np.cos(np.pi * k / (num - 1))
+    s.setflags(write=False)
+    return s
+
+
 def lobatto_grid(lo, hi, num):
     """Chebyshev-Lobatto points on [lo, hi], endpoints exact, increasing."""
     _require_int("num", num, 2)
-    k = np.arange(num)
-    s = -np.cos(np.pi * k / (num - 1))
-    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * s
+    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _lobatto_nodes(num)
     t[0], t[-1] = lo, hi
     return t
 
@@ -395,13 +417,18 @@ def profile(body, xi, num_points=64, margin=0.02, window=None):
     window : (lo, hi), optional
         Explicit offset window, used exactly as given (margin does not apply);
         required for unbounded bodies, where no chord interval exists.
+
+    The direction is checked once here and once more by the section engine;
+    the chord takes one geometry pass (as in ``chord_interval``), and the
+    profile is built without reading the direction a third time.
     """
     d = _one_direction(xi, body.n)
     _require_int("num_points", num_points, 16)
     if not 0.0 <= margin < 0.5:
         raise ValueError("margin must lie in [0, 0.5)")
     if window is None:
-        t_lo, t_hi = chord_interval(body, d)
+        lo, hi = _chord_rows(body, d[None])
+        t_lo, t_hi = float(lo[0]), float(hi[0])
         width = t_hi - t_lo
         t_lo, t_hi = t_lo + margin * width, t_hi - margin * width
     else:
@@ -410,4 +437,4 @@ def profile(body, xi, num_points=64, margin=0.02, window=None):
         if not t_hi > t_lo:
             raise ValueError("window must be a nonempty interval")
     grid = lobatto_grid(t_lo, t_hi, num_points)
-    return SectionProfile(d, grid, section_volume(body, d, grid), body.n)
+    return SectionProfile._of_direction(d, grid, section_volume(body, d, grid), body.n)

@@ -200,41 +200,57 @@ def test_power_fits_equal_own_degree_fits():
     assert checked == 17 * (6 + 2 * (QUADRIC_MAX_DEGREE + 1))
 
 
-class CountingChebyshev:
-    """Stands in for algfit's chebyshev module and counts its Vandermonde
-    builds; everything else passes through to numpy."""
+class CountingColumns:
+    """Stands in for algfit's Chebyshev column generator and counts the
+    columns power_fits takes from it."""
 
     def __init__(self):
-        self.vanders = 0
+        self.columns = 0
+        self.real = algfit_module._chebyshev_columns
 
-    def __getattr__(self, name):
-        return getattr(chebyshev, name)
-
-    def chebvander(self, x, deg):
-        self.vanders += 1
-        return chebyshev.chebvander(x, deg)
+    def __call__(self, s):
+        for column in self.real(s):
+            self.columns += 1
+            yield column
 
 
-def test_one_vandermonde_per_search(monkeypatch, tmp_path):
-    counter = CountingChebyshev()
-    monkeypatch.setattr(algfit_module, "C", counter)
+def test_chebyshev_columns_only_as_far_as_the_search_goes(monkeypatch, tmp_path):
+    counter = CountingColumns()
+    monkeypatch.setattr(algfit_module, "_chebyshev_columns", counter)
+    # the CLI sweep fits every pair, up to degree 5 * (3 - 1)
     for body, code in ((random_ellipsoid(3, seed=6), 0), (Polytope.cube(3), 2)):
         save_body(body, tmp_path / "body.json")
-        before = counter.vanders
+        before = counter.columns
         args = ["algfit", "--body", str(tmp_path / "body.json"), "--xi", "0.3,0.5,0.8", "--m-max", "5"]
         assert cli.main(args + ["--out", str(tmp_path / "fit.json")]) == code
-        assert counter.vanders - before == 1
+        assert counter.columns - before == 11
+    # a search that stops at m = 1 (degree 2) builds 3 columns; one that
+    # finds nothing reaches m_max = 6, degree 12
     odd = ellipsoid_profile(3, seed=5)[2]
     cube = profile(Polytope.cube(3), Direction.from_vector([1.0, 1.0, 1.0]), num_points=96, margin=0.0)
-    for prof, m in ((odd, 1), (cube, None)):
-        before = counter.vanders
+    for prof, m, columns in ((odd, 1, 3), (cube, None, 13)):
+        before = counter.columns
         win = detect_min_m(prof, m_max=6)
         assert (None if win is None else win.m) == m
-        assert counter.vanders - before == 1
+        assert counter.columns - before == columns
+    # each power's degree search stops at its minimal degree
     par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
-    before = counter.vanders
-    assert quadric_check(par, Direction.from_vector([0.0, 0.0, 1.0]))["verdict"] == "conforms"
-    assert counter.vanders - before == 2
+    before = counter.columns
+    report = quadric_check(par, Direction.from_vector([0.0, 0.0, 1.0]))
+    assert report["verdict"] == "conforms"
+    assert counter.columns - before == sum(r["min_degree"] + 1 for r in report["results"])
+
+
+def test_chebyshev_columns_equal_chebvander():
+    rng = np.random.default_rng(12)
+    for s in (np.linspace(-1.0, 1.0, 40), np.sort(rng.uniform(-1.0, 1.0, 33)), np.array([-1.0, -0.0, 0.0, 1.0])):
+        columns = algfit_module._chebyshev_columns(s)
+        grown = np.empty((13, s.size))
+        for i in range(13):
+            grown[i] = next(columns)
+        for degree in range(13):
+            V = chebyshev.chebvander(s, degree)
+            assert grown[: degree + 1].T.tobytes() == V.tobytes()
 
 
 def test_detect_min_m_never_reaches_a_later_pair():

@@ -359,6 +359,58 @@ def test_chord_interval_on_a_stack_raises_for_an_unbounded_row():
             chord_interval(body, D)
 
 
+def _unit_rows(G):
+    return G / np.sqrt(np.vecdot(G, G))[:, None]
+
+
+def test_chord_interval_equals_the_two_support_calls_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for n in range(2, 6):
+        for seed in range(4):
+            D = _unit_rows(rng.standard_normal((12, n)))
+            cube = Polytope.cube(n).rotated(random_rotation(n, seed=seed)).translated(rng.uniform(-1.0, 1.0, n))
+            for body in (random_ellipsoid(n, seed=seed), random_simplex(n, seed=seed), cube):
+                for X in (D, np.asfortranarray(D)):
+                    lo, hi = chord_interval(body, X)
+                    assert lo.tobytes() == (-body.support(-X)).tobytes(), type(body).__name__
+                    assert hi.tobytes() == body.support(X).tobytes(), type(body).__name__
+                for d in D:
+                    assert chord_interval(body, d) == (-body.support(-d), body.support(d))
+            # mostly along -x_n, inside both quadrics' bounded-slice cone: the
+            # top end is finite, the bottom end is not
+            C = _unit_rows(np.column_stack([rng.uniform(-0.15, 0.15, (12, n - 1)), -np.ones(12)]))
+            axes = rng.uniform(0.6, 1.6, n - 1)
+            for body in (QuadricDomain("paraboloid", axes), QuadricDomain("hyperboloid-sheet", axes, 1.2)):
+                lo, hi = body._extent(C)
+                assert np.isfinite(hi).all() and np.all(lo == -np.inf)
+                assert hi.tobytes() == body.support(C).tobytes()
+                assert lo.tobytes() == (-body.support(-C)).tobytes()
+                with pytest.raises(InfiniteSupportError):
+                    chord_interval(body, C)
+
+
+@pytest.mark.parametrize("v", [[1e200, 0.0, 1e200], [1e-200, 0.0, 1e-200], [-1e-160, 0.0, -1e-160]])
+def test_from_vector_normalizes_an_extreme_norm(v, capsys):
+    d = Direction.from_vector(v)
+    half = math.copysign(0.7071067811865475, v[0])
+    assert d.components.tolist() == [half, 0.0, half]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [1.0, np.inf, 0.0], [1.0, np.nan, 0.0], [1e308, -np.inf, 1.0]])
+def test_from_vector_rejects_a_zero_or_non_finite_vector(v):
+    with pytest.raises(ValueError, match="^cannot normalize a zero or non-finite vector$"):
+        Direction.from_vector(v)
+
+
+def test_from_vector_keeps_the_bits_of_an_ordinary_vector():
+    rng = np.random.default_rng(24)
+    for scale in (1e-150, 1e-20, 1.0, 3.7, 1e20, 1e150):
+        for n in (2, 3, 5):
+            v = scale * rng.standard_normal(n)
+            assert Direction.from_vector(v).components.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
 def test_fibonacci_sphere_is_deterministic_and_unit():
     a = fibonacci_sphere(100)
     b = fibonacci_sphere(100)

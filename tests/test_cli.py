@@ -338,6 +338,13 @@ def test_zero_or_non_finite_xi_is_an_error(body_dir, capsys, text):
     assert capsys.readouterr().err == "error: cannot normalize a zero or non-finite vector\n"
 
 
+def test_negative_detect_seed_is_an_error(body_dir, capsys):
+    # in R^3 the directions come from the Fibonacci lattice, so the seed is
+    # checked even where it draws nothing
+    assert run_cli(["detect", "--body", body_dir / "ball.json", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
 def test_threads_env_is_ignored(body_dir, monkeypatch):
     monkeypatch.setenv("TOMOSLICE_THREADS", "not-a-number")
     out = body_dir / "det.json"
@@ -450,3 +457,24 @@ def test_installed_entry_point(body_dir):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["config"]["command"] == "profile"
+
+
+def test_report_digests_repeat_on_a_two_body_subset(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import report_digests
+
+    outputs = []
+    for _ in range(2):
+        report_digests.main(["--bodies", "ball3d.json,cube3d.json"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out.splitlines())
+    first, second = outputs
+    assert first == second
+    # 23 runs per body and format, then the total digest and the BLAS core
+    runs = first[:-2]
+    assert len(runs) == 2 * 2 * 23
+    assert first[-2].startswith("total ") and first[-2].endswith(f"over {len(runs)} runs")
+    assert first[-1].startswith("blas core ")
+    codes = {line.split(" | ")[1] for line in runs}
+    assert codes == {"exit 0", "exit 1", "exit 2"}

@@ -23,6 +23,7 @@ from tomoslice.bodies import (
     random_ellipsoid,
     random_rotation,
     random_simplex,
+    sample_directions,
     save_body,
 )
 from tomoslice.detect import (
@@ -157,25 +158,33 @@ def test_report_serialization():
     assert d["seed"] == 2
 
 
-def test_is_ellipsoid_makes_two_support_calls(monkeypatch):
-    calls = []
-    real = Ellipsoid.support
+def test_is_ellipsoid_makes_one_chord_pass(monkeypatch):
+    passes = {Ellipsoid: [], Polytope: []}
+    for cls, calls in passes.items():
+        real = cls._extent
 
-    def counting(self, v):
-        calls.append(np.shape(v))
-        return real(self, v)
+        def counting(self, D, real=real, calls=calls):
+            calls.append(D.shape)
+            return real(self, D)
 
-    monkeypatch.setattr(Ellipsoid, "support", counting)
+        def no_support(self, v):
+            raise AssertionError("support called")
+
+        monkeypatch.setattr(cls, "_extent", counting)
+        monkeypatch.setattr(cls, "support", no_support)
     body = random_ellipsoid(3, seed=5)
     for num in (40, 200, 1000):
-        calls.clear()
+        passes[Ellipsoid].clear()
         report = is_ellipsoid(body, num_directions=num, seed=1)
         assert report.accepted
-        # h(xi) and h(-xi), read by both the center and the quadratic form
-        assert calls == [(num, 3)] * 2
-        calls.clear()
+        # h(xi) and h(-xi), read by both the center and the quadratic form,
+        # from one chord per direction
+        assert passes[Ellipsoid] == [(num, 3)]
+        passes[Ellipsoid].clear()
         section_consistency_check(body, report, num_probes=25, seed=0)
-        assert calls == [(25, 3)] * 2
+        assert passes[Ellipsoid] == [(25, 3)]
+    assert not is_ellipsoid(Polytope.cube(3), num_directions=60, seed=0).accepted
+    assert passes[Polytope] == [(60, 3)]
 
 
 def _scalar_replay(body, recovered, num_probes, seed):
@@ -203,6 +212,61 @@ def test_consistency_check_keeps_the_scalar_probe_stream():
         want = _scalar_replay(body, off.recovered_body(), 40, 7)
         assert got > 1e-3
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_consistency_check_equals_the_scalar_replay_with_cold_and_warm_caches():
+    for n in (2, 3, 4):
+        body = random_ellipsoid(n, seed=70 + n)
+        report = is_ellipsoid(body, seed=4)
+        off = dataclasses.replace(report, recovered_shape=1.01 * report.recovered_shape)
+        want = _scalar_replay(body, off.recovered_body(), 30, 9)
+        detect_module._probe_set.cache_clear()
+        cold = section_consistency_check(body, off, num_probes=30, seed=9)
+        warm = section_consistency_check(body, off, num_probes=30, seed=9)
+        assert detect_module._probe_set.cache_info().hits >= 1
+        assert cold == warm == want
+
+
+def _fresh_probes(n, num_probes, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = [(rng.standard_normal(n), rng.random()) for _ in range(num_probes)]
+    G = np.array([g for g, _ in draws])
+    return G / np.sqrt(np.vecdot(G, G))[:, None], np.array([f for _, f in draws])
+
+
+def test_cached_samples_are_read_only_and_equal_a_fresh_build():
+    for n in (2, 3, 4, 5):
+        for count, seed in ((2 * n * (n + 1), 0), (200, 7)):
+            dirs, design = detect_module._direction_set(n, count, seed)
+            fresh = sample_directions(n, count, seed=seed, antithetic=True)
+            assert dirs.tobytes() == fresh.tobytes()
+            assert design.tobytes() == detect_module._shape_design(fresh).tobytes()
+            probe_dirs, fracs = detect_module._probe_set(n, count, seed)
+            want_dirs, want_fracs = _fresh_probes(n, count, seed)
+            assert probe_dirs.tobytes() == want_dirs.tobytes()
+            assert fracs.tobytes() == want_fracs.tobytes()
+            for arr in (dirs, design, probe_dirs, fracs):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+            # the public sampler still hands out a fresh, writable array
+            fresh[0] = 0.0
+            assert detect_module._direction_set(n, count, seed)[0].tobytes() == dirs.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 2.5, True, None, "0"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    body = random_ellipsoid(2, seed=3)
+    report = is_ellipsoid(body, seed=0)
+    calls = (
+        lambda: is_ellipsoid(body, seed=seed),
+        lambda: estimate_e(body, seed=seed),
+        lambda: quadratic_fit(body, np.zeros(2), seed=seed),
+        lambda: section_consistency_check(body, report, seed=seed),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            call()
 
 
 def test_consistency_check_rejects_unbounded_probe():
@@ -254,32 +318,41 @@ def test_consistency_check_rejects_bad_constant_tol(constant_tol):
 
 def test_is_ellipsoid_builds_one_direction_set(monkeypatch):
     built = []
-    real = detect_module._direction_set
+    real = detect_module.sample_directions
 
-    def counting(n, num_directions, seed):
-        built.append((n, num_directions, seed))
-        return real(n, num_directions, seed)
+    def counting(n, count, seed=0, antithetic=False):
+        built.append((n, count, seed))
+        return real(n, count, seed=seed, antithetic=antithetic)
 
     def no_rank(*args, **kwargs):
         raise AssertionError("matrix_rank called")
 
     # building a polytope checks its rank, so the cube is built first
     cube = Polytope.cube(3)
-    monkeypatch.setattr(detect_module, "_direction_set", counting)
+    monkeypatch.setattr(detect_module, "sample_directions", counting)
     monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+    detect_module._direction_set.cache_clear()
     for n in (2, 3, 4):
         built.clear()
-        assert is_ellipsoid(random_ellipsoid(n, seed=n), num_directions=120, seed=2).accepted
+        body = random_ellipsoid(n, seed=n)
+        assert is_ellipsoid(body, num_directions=120, seed=2).accepted
+        assert built == [(n, 120, 2)]
+        # the same key again builds nothing, whichever stage asks for it
+        assert is_ellipsoid(body, num_directions=120, seed=2).accepted
+        estimate_e(body, num_directions=120, seed=2)
         assert built == [(n, 120, 2)]
     built.clear()
     assert not is_ellipsoid(cube, seed=0).accepted
+    assert not is_ellipsoid(cube, seed=0).accepted
     assert built == [(3, 200, 0)]
+    detect_module._direction_set.cache_clear()
 
 
 def test_planar_direction_set_is_rank_deficient(monkeypatch):
     def planar(n, num_directions, seed):
         angle = np.linspace(0.0, 2.0 * np.pi, num_directions, endpoint=False)
-        return np.column_stack([np.cos(angle), np.sin(angle), np.zeros((num_directions, n - 2))])
+        dirs = np.column_stack([np.cos(angle), np.sin(angle), np.zeros((num_directions, n - 2))])
+        return dirs, detect_module._shape_design(dirs)
 
     monkeypatch.setattr(detect_module, "_direction_set", planar)
     body = random_ellipsoid(3, seed=5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tomoslice.bodies as bodies_module
 import tomoslice.sections as sections_module
 from tomoslice.bodies import (
     Direction,
@@ -432,6 +433,69 @@ def test_profile_makes_one_section_call(monkeypatch):
     monkeypatch.setattr(sections_module, "section_volume", counting)
     profile(Polytope.cube(3), unit([0.3, -0.5, 0.8]), num_points=64)
     assert calls == [64]
+
+
+def test_profile_reads_its_direction_at_most_twice(monkeypatch):
+    reads = []
+    engines = []
+    real_rows = bodies_module._direction_rows
+
+    def counting_rows(xi, n):
+        reads.append(np.shape(xi))
+        return real_rows(xi, n)
+
+    monkeypatch.setattr(bodies_module, "_direction_rows", counting_rows)
+    monkeypatch.setattr(sections_module, "_direction_rows", counting_rows)
+    for name in ("section_volume_ellipsoid", "section_volume_polytope", "section_volume_quadric"):
+        real = getattr(sections_module, name)
+
+        def counting(body, xi, t, real=real):
+            engines.append(np.size(t))
+            return real(body, xi, t)
+
+        monkeypatch.setattr(sections_module, name, counting)
+    par = QuadricDomain("paraboloid", np.array([1.0, 0.7]))
+    cases = (
+        (random_ellipsoid(3, seed=2), {}),
+        (Polytope.cube(3), {}),
+        (random_simplex(4, seed=1), {"margin": 0.0}),
+        (par, {"window": (0.5, 4.0)}),
+    )
+    for body, kwargs in cases:
+        xi = np.arange(1.0, body.n + 1.0)
+        xi /= np.linalg.norm(xi)
+        reads.clear()
+        engines.clear()
+        prof = profile(body, xi, num_points=48, **kwargs)
+        # profile's own check and the engine's; the chord and the
+        # SectionProfile reuse the checked direction
+        assert reads == [(body.n,), (body.n,)], type(body).__name__
+        assert engines == [48]
+        assert not prof.xi.flags.writeable
+
+
+def test_profile_equals_its_parts():
+    for body, xi in ((random_ellipsoid(4, seed=3), unit([0.2, -0.4, 0.1, 0.9])), (Polytope.cube(3), unit([0.3, -0.5, 0.8]))):
+        for margin in (0.0, 0.02, 0.3):
+            prof = profile(body, xi, num_points=40, margin=margin)
+            lo, hi = chord_interval(body, xi)
+            width = hi - lo
+            grid = lobatto_grid(lo + margin * width, hi - margin * width, 40)
+            assert prof.grid.tobytes() == grid.tobytes()
+            assert prof.values.tobytes() == section_volume(body, xi, grid).tobytes()
+            assert prof.xi.tobytes() == np.asarray(xi).tobytes()
+
+
+def test_lobatto_nodes_are_cached_read_only():
+    for num in (2, 16, 96, 97):
+        nodes = sections_module._lobatto_nodes(num)
+        assert not nodes.flags.writeable
+        assert nodes.tobytes() == (-np.cos(np.pi * np.arange(num) / (num - 1))).tobytes()
+        assert sections_module._lobatto_nodes(num) is nodes
+        grid = lobatto_grid(-0.3, 2.0, num)
+        # each grid is a fresh, writable array
+        grid[1:-1] += 0.0
+        assert lobatto_grid(-0.3, 2.0, num).tobytes() == grid.tobytes()
 
 
 def _slab_frame_reference(body, xi, t, w, samples, seed, lo, hi):
