@@ -17,9 +17,11 @@ the two routes can be compared without sharing any code path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -35,7 +37,7 @@ from .bodies import (
     chord_interval,
     unit_ball_volume,
 )
-from .sections import _finite_window, profile, section_volume
+from .sections import _finite_window, _lobatto_nodes, lobatto_grid, profile, section_volume
 
 __all__ = [
     "AlgebraicFitReport",
@@ -156,17 +158,45 @@ def min_m_plan(n, m_max):
     return [(m, m * (n - 1)) for m in range(1, m_max + 1)]
 
 
-def _chebyshev_columns(s):
-    """T_0(s), T_1(s), ... for a 1-d array s, one array per step, by the
-    recurrence of ``chebvander`` (T_0 = s*0 + 1, T_1 = s,
-    T_i = T_{i-1}*2s - T_{i-2}), so column i equals chebvander's bit for bit."""
-    s = s + 0.0
-    prev, cur = s * 0 + 1, s
-    yield prev
-    x2 = 2 * s
-    while True:
-        yield cur
-        prev, cur = cur, cur * x2 - prev
+class _LeastSquares(NamedTuple):
+    """A least-squares design A, its pseudo-inverse and its rank, all from
+    one SVD: ``pinv @ y`` is lstsq's minimum-norm solution of A x ~ y."""
+
+    design: np.ndarray
+    pinv: np.ndarray
+    rank: int
+
+
+def _least_squares(A):
+    """Factor the 2-d design A once, for any number of right-hand sides.
+
+    The rank uses lstsq's own cutoff: singular values at most
+    eps * max(M, N) * s_max count as zero, and the pseudo-inverse drops them.
+    The pseudo-inverse is formed as np.linalg.pinv forms it at that cutoff,
+    so it equals pinv's bit for bit.  A and its pseudo-inverse come back
+    read-only."""
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(A.shape) * s.max()
+    s_inv = np.zeros_like(s)
+    s_inv[keep] = 1.0 / s[keep]
+    pinv = vt.T @ (s_inv[:, None] * u.T)
+    A.setflags(write=False)
+    pinv.setflags(write=False)
+    return _LeastSquares(A, pinv, int(np.count_nonzero(keep)))
+
+
+def _chebyshev_fit(s, degree):
+    """The least-squares factorization of the degree-``degree`` Chebyshev
+    Vandermonde on the rescaled abscissae s."""
+    return _least_squares(C.chebvander(s, degree))
+
+
+@functools.lru_cache(maxsize=64)
+def _lobatto_fit(num, degree):
+    """``_chebyshev_fit`` on the ``num`` cached Lobatto nodes, the rescaled
+    abscissae of every grid ``lobatto_grid`` makes; built once per
+    (num, degree), at most 64 kept."""
+    return _chebyshev_fit(_lobatto_nodes(num), degree)
 
 
 def power_fits(prof, plan):
@@ -174,11 +204,12 @@ def power_fits(prof, plan):
     pair of the sequence ``plan`` in turn, yielding one AlgebraicFitReport
     per pair.
 
-    The grid is rescaled to s in [-1, 1], and the Chebyshev Vandermonde grows
-    by one column per degree as the iteration reaches higher pairs: a search
-    that stops at degree d builds d + 1 columns.  Each pair solves on a
-    column prefix, which equals chebvander's own-degree Vandermonde bit for
-    bit.  A pair needs at least 2*(degree+1) sample points so the
+    The grid is rescaled to s in [-1, 1].  Every fit is one product of the
+    samples with the pseudo-inverse of its Vandermonde.  A grid that
+    ``lobatto_grid`` makes (every profile from ``profile``) has the Lobatto
+    nodes as its s, so its factorization comes from a cache per
+    (len(grid), degree) (``_lobatto_fit``); any other grid is factored afresh
+    on its own s.  A pair needs at least 2*(degree+1) sample points so the
     least-squares system stays comfortably overdetermined; that check, like
     the zero-profile one, runs only when the iteration reaches the pair, so
     a search that stops early never sees a later pair's error.  The residual
@@ -188,25 +219,20 @@ def power_fits(prof, plan):
         _require_int("m", m, 1)
         _require_int("degree", degree, 0)
     t_lo, t_hi = float(prof.grid[0]), float(prof.grid[-1])
-    s = (2.0 * prof.grid - (t_lo + t_hi)) / (t_hi - t_lo)
-    columns = _chebyshev_columns(s)
-    # row i holds T_i(s), so a row prefix transposed has chebvander's layout
-    rows = np.empty((max((degree for _, degree in plan), default=0) + 1, s.size))
-    built = 0
+    num = len(prof)
+    if num > 1 and prof.grid.tobytes() == lobatto_grid(t_lo, t_hi, num).tobytes():
+        factor = functools.partial(_lobatto_fit, num)
+    else:
+        factor = functools.partial(_chebyshev_fit, (2.0 * prof.grid - (t_lo + t_hi)) / (t_hi - t_lo))
     for m, degree in plan:
-        if len(prof) < 2 * (degree + 1):
-            raise ValueError(
-                f"profile has {len(prof)} points; degree {degree} needs at least {2 * (degree + 1)}"
-            )
+        if num < 2 * (degree + 1):
+            raise ValueError(f"profile has {num} points; degree {degree} needs at least {2 * (degree + 1)}")
         y = prof.values**m
         y_norm = float(np.linalg.norm(y))
         if y_norm == 0.0:
             raise ValueError("profile is identically zero on its grid")
-        while built <= degree:
-            rows[built] = next(columns)
-            built += 1
-        V_d = rows[: degree + 1].T
-        coef, *_ = np.linalg.lstsq(V_d, y, rcond=None)
+        fit = factor(degree)
+        coef = fit.pinv @ y
         eff = _effective_degree(coef)
         yield AlgebraicFitReport(
             xi=prof.xi,
@@ -216,7 +242,7 @@ def power_fits(prof, plan):
             coefficients=coef,
             t_lo=t_lo,
             t_hi=t_hi,
-            relative_residual=float(np.linalg.norm(V_d @ coef - y)) / y_norm,
+            relative_residual=float(np.linalg.norm(fit.design @ coef - y)) / y_norm,
             effective_degree=eff,
             degree_bound_ok=eff <= m * (prof.n - 1),
             grid=prof.grid,

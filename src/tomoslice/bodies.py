@@ -175,8 +175,9 @@ def _row_products(A, X):
     """A @ x for every row x of the 2-d array X, one row of output per row of
     X.  Each row is its own matrix-vector product and rounds like A @ x for
     that row alone; X @ A.T is one matrix-matrix product and rounds some
-    rows differently."""
-    return np.matmul(A, X[:, :, None])[..., 0]
+    rows differently.  X is taken in C order (a copy only for another
+    layout), as matmul's kernel, and so its rounding, depends on the layout."""
+    return np.matmul(A, np.ascontiguousarray(X)[:, :, None])[..., 0]
 
 
 def _rotation(R, n):

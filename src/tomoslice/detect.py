@@ -27,7 +27,7 @@ from .bodies import (
     chord_interval,
     sample_directions,
 )
-from .algfit import normalized_constant_from_value
+from .algfit import _least_squares, normalized_constant_from_value
 from .sections import section_volume
 
 __all__ = [
@@ -61,12 +61,17 @@ def _read_only(*arrays):
 
 @functools.lru_cache(maxsize=_CACHED_KEYS)
 def _direction_set(n, num_directions, seed):
-    """The support fits' direction sample
-    ``sample_directions(n, num_directions, seed, antithetic=True)`` and its
-    quadratic design (``_shape_design``), as a pair of read-only arrays
-    built once per key and kept for the last 16 keys."""
-    dirs = sample_directions(n, num_directions, seed=seed, antithetic=True)
-    return _read_only(dirs, _shape_design(dirs))
+    """The support fits on the direction sample
+    ``sample_directions(n, num_directions, seed, antithetic=True)``, built
+    once per key and kept for the last 16 keys (``_support_fits``)."""
+    return _support_fits(sample_directions(n, num_directions, seed=seed, antithetic=True))
+
+
+def _support_fits(dirs):
+    """The factored least-squares designs of both support fits on the
+    direction set dirs: the center fit's (dirs itself) and the quadratic
+    form's (``_shape_design``), as a pair of read-only ``_least_squares``."""
+    return _least_squares(dirs), _least_squares(_shape_design(dirs))
 
 
 def _shape_index(n):
@@ -107,26 +112,26 @@ def _require_bounded(body):
         raise InfiniteSupportError(f"the {body.kind} is unbounded: its support is infinite, so no ellipsoid fits it")
 
 
-def _fit_center(dirs, odd):
-    """estimate_e on a given direction set and its odd support data
-    h(xi) - h(-xi)."""
-    # lstsq's rank uses matrix_rank's cutoff, eps * max(M, N) * s_max
-    e, _, rank, _ = np.linalg.lstsq(dirs, odd, rcond=None)
-    if rank < dirs.shape[1]:
+def _fit_center(center, odd):
+    """estimate_e on the center fit of a direction set (``_support_fits``) and
+    its odd support data h(xi) - h(-xi)."""
+    dirs = center.design
+    if center.rank < dirs.shape[1]:
         raise ValueError("direction set is rank deficient")
+    e = center.pinv @ odd
     resid = float(np.linalg.norm(dirs @ e - odd))
     rel = resid / max(float(np.linalg.norm(odd)), _RESIDUAL_GUARD)
     return e, rel
 
 
-def _fit_shape(dirs, design, H):
-    """quadratic_fit on a direction set, its design (``_shape_design``) and
-    its recentered support data H(xi)."""
-    n = dirs.shape[1]
-    y = H**2
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
+def _fit_shape(shape, H, n):
+    """quadratic_fit in R^n on the quadratic-form fit of a direction set
+    (``_support_fits``) and its recentered support data H(xi)."""
+    design = shape.design
+    if shape.rank < design.shape[1]:
         raise ValueError("direction set is rank deficient for the quadratic basis")
+    y = H**2
+    coef = shape.pinv @ y
     S = np.zeros((n, n))
     for (i, j), val in zip(_shape_index(n), coef):
         S[i, j] = S[j, i] = val
@@ -146,9 +151,9 @@ def estimate_e(body, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     _require_int("num_directions", num_directions, 2 * n)
     _require_int("seed", seed, 0)
     _require_bounded(body)
-    dirs, _ = _direction_set(n, num_directions, seed)
-    lo, hi = chord_interval(body, dirs)
-    return _fit_center(dirs, hi + lo)
+    center, _ = _direction_set(n, num_directions, seed)
+    lo, hi = chord_interval(body, center.design)
+    return _fit_center(center, hi + lo)
 
 
 def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
@@ -163,8 +168,9 @@ def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     _require_int("seed", seed, 0)
     e = np.asarray(e, dtype=float)
     _require_bounded(body)
-    dirs, design = _direction_set(n, num_directions, seed)
-    return _fit_shape(dirs, design, body.support(dirs) - 0.5 * dirs @ e)
+    center, shape = _direction_set(n, num_directions, seed)
+    dirs = center.design
+    return _fit_shape(shape, body.support(dirs) - 0.5 * dirs @ e, n)
 
 
 @dataclass(eq=False)
@@ -238,10 +244,11 @@ def is_ellipsoid(
     _require_bounded(body)
     # both stages share one direction set and read each support value once:
     # h(xi) - h(-xi) = hi + lo exactly, as negation is exact
-    dirs, design = _direction_set(n, num_directions, seed)
+    center, shape = _direction_set(n, num_directions, seed)
+    dirs = center.design
     lo, hi = chord_interval(body, dirs)
-    e, lin_res = _fit_center(dirs, hi + lo)
-    S, quad_res = _fit_shape(dirs, design, hi - 0.5 * dirs @ e)
+    e, lin_res = _fit_center(center, hi + lo)
+    S, quad_res = _fit_shape(shape, hi - 0.5 * dirs @ e, n)
     eigvals = np.linalg.eigvalsh(S)
     definite = bool(eigvals.min() > 0.0)
     ok = lin_res < tol_linear and quad_res < tol_quadratic and definite

@@ -33,7 +33,6 @@ from .bodies import (
     _direction_rows,
     _one_direction,
     _require_int,
-    chord_interval,
     unit_ball_volume,
 )
 
@@ -335,7 +334,9 @@ def section_volume_mc(body, xi, t, slab_halfwidth=None, samples=10**6, seed=0, b
     r_lo, r_hi = -h[n:], h[:n]
     if slab_halfwidth is None:
         try:
-            t_lo, t_hi = chord_interval(body, v)
+            # the chord of the direction checked above, without a second check
+            c_lo, c_hi = _chord_rows(body, v[None])
+            t_lo, t_hi = float(c_lo[0]), float(c_hi[0])
         except InfiniteSupportError:
             # unbounded body: scale the slab by the box extent along xi instead
             t_lo, t_hi = r_lo[0], r_hi[0]

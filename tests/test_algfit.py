@@ -33,7 +33,7 @@ from tomoslice.algfit import (
     root_structure,
 )
 from tomoslice.detect import is_ellipsoid
-from tomoslice.sections import profile
+from tomoslice.sections import SectionProfile, _lobatto_nodes, lobatto_grid, profile, section_volume
 
 
 def rand_dir(n, seed):
@@ -142,19 +142,35 @@ def test_fit_needs_enough_samples():
 # the shared power-fit sweep
 
 
-def reference_fit(prof, m, degree):
-    """One fit on a freshly built own-degree Vandermonde, as each fit was
-    computed before the sweep shared one: coefficients, residual, effective
-    degree and the degree-bound verdict."""
-    y = prof.values**m
+def _rescaled(prof):
     t_lo, t_hi = float(prof.grid[0]), float(prof.grid[-1])
-    s = (2.0 * prof.grid - (t_lo + t_hi)) / (t_hi - t_lo)
-    V = chebyshev.chebvander(s, degree)
-    coef, *_ = np.linalg.lstsq(V, y, rcond=None)
+    return (2.0 * prof.grid - (t_lo + t_hi)) / (t_hi - t_lo)
+
+
+def _fit_summary(coef, V, y, m, n):
     residual = float(np.linalg.norm(V @ coef - y)) / float(np.linalg.norm(y))
     mags = np.abs(coef)
     eff = int(np.nonzero(mags > 1e-9 * mags.max())[0].max()) if mags.max() > 0.0 else 0
-    return coef, residual, eff, eff <= m * (prof.n - 1)
+    return coef, residual, eff, eff <= m * (n - 1)
+
+
+def lstsq_fit(prof, m, degree):
+    """One fit by np.linalg.lstsq on a freshly built own-degree Vandermonde
+    on the profile's own rescaled grid, as every fit was computed before the
+    fits shared a factorization: coefficients, residual, effective degree
+    and the degree-bound verdict."""
+    y = prof.values**m
+    V = chebyshev.chebvander(_rescaled(prof), degree)
+    coef, *_ = np.linalg.lstsq(V, y, rcond=None)
+    return _fit_summary(coef, V, y, m, prof.n)
+
+
+def fresh_factor_fit(prof, m, degree, s):
+    """One fit through a fresh, uncached factorization of the Vandermonde on
+    abscissae s."""
+    y = prof.values**m
+    fit = algfit_module._chebyshev_fit(s, degree)
+    return _fit_summary(fit.pinv @ y, fit.design, y, m, prof.n)
 
 
 def sweep_profiles():
@@ -182,75 +198,118 @@ def sweep_profiles():
     return profs
 
 
+def other_grid_profiles():
+    """Profiles on grids that lobatto_grid does not make: equally spaced, and
+    a Lobatto grid with one offset moved by an ulp."""
+    profs = []
+    for n, seed in ((3, 7), (4, 8)):
+        body = random_ellipsoid(n, seed=seed)
+        xi = rand_dir(n, seed + 1).components
+        lo, hi = chord_interval(body, xi)
+        grid = np.linspace(lo, hi, 80)
+        profs.append(SectionProfile(xi, grid, section_volume(body, xi, grid), n))
+    grid = lobatto_grid(lo, hi, 96)
+    grid[40] = np.nextafter(grid[40], np.inf)
+    profs.append(SectionProfile(xi, grid, section_volume(body, xi, grid), n))
+    return profs
+
+
+def sweep_plans(prof):
+    plans = [min_m_plan(prof.n, 6)]
+    plans += [[(m, d) for d in range(QUADRIC_MAX_DEGREE + 1)] for m in (1, 2)]
+    return plans
+
+
 def test_power_fits_equal_own_degree_fits():
     checked = 0
-    for prof in sweep_profiles():
-        plans = [min_m_plan(prof.n, 6)]
-        plans += [[(m, d) for d in range(QUADRIC_MAX_DEGREE + 1)] for m in (1, 2)]
-        for plan in plans:
+    for prof, lobatto in [(p, True) for p in sweep_profiles()] + [(p, False) for p in other_grid_profiles()]:
+        # a profile's grid takes the cached Lobatto nodes; any other grid
+        # its own rescaled abscissae
+        s = _lobatto_nodes(len(prof)) if lobatto else _rescaled(prof)
+        for plan in sweep_plans(prof):
             reports = list(power_fits(prof, plan))
             assert [(r.m, r.degree) for r in reports] == plan
             for rep, (m, degree) in zip(reports, plan):
-                coef, residual, eff, bound_ok = reference_fit(prof, m, degree)
-                assert np.array_equal(rep.coefficients, coef)
+                coef, residual, eff, bound_ok = fresh_factor_fit(prof, m, degree, s)
+                assert rep.coefficients.tobytes() == coef.tobytes()
                 assert rep.relative_residual == residual
                 assert rep.effective_degree == eff
                 assert rep.degree_bound_ok == bound_ok
                 checked += 1
-    assert checked == 17 * (6 + 2 * (QUADRIC_MAX_DEGREE + 1))
+    assert checked == 20 * (6 + 2 * (QUADRIC_MAX_DEGREE + 1))
 
 
-class CountingColumns:
-    """Stands in for algfit's Chebyshev column generator and counts the
-    columns power_fits takes from it."""
+def test_power_fits_agree_with_lstsq_on_the_rescaled_grid():
+    checked = 0
+    for prof in sweep_profiles() + other_grid_profiles():
+        for plan in sweep_plans(prof):
+            for rep, (m, degree) in zip(power_fits(prof, plan), plan):
+                coef, residual, eff, bound_ok = lstsq_fit(prof, m, degree)
+                assert np.abs(rep.coefficients - coef).max() <= 1e-12 * np.abs(coef).max()
+                assert abs(rep.relative_residual - residual) <= 1e-13
+                assert rep.effective_degree == eff
+                assert rep.degree_bound_ok == bound_ok
+                checked += 1
+    assert checked == 20 * (6 + 2 * (QUADRIC_MAX_DEGREE + 1))
+
+
+class CountingSvd:
+    """Stands in for np.linalg.svd and counts its calls."""
 
     def __init__(self):
-        self.columns = 0
-        self.real = algfit_module._chebyshev_columns
+        self.calls = 0
+        self.real = np.linalg.svd
 
-    def __call__(self, s):
-        for column in self.real(s):
-            self.columns += 1
-            yield column
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.real(*args, **kwargs)
 
 
-def test_chebyshev_columns_only_as_far_as_the_search_goes(monkeypatch, tmp_path):
-    counter = CountingColumns()
-    monkeypatch.setattr(algfit_module, "_chebyshev_columns", counter)
-    # the CLI sweep fits every pair, up to degree 5 * (3 - 1)
-    for body, code in ((random_ellipsoid(3, seed=6), 0), (Polytope.cube(3), 2)):
+def test_each_lobatto_factorization_is_built_once_per_key(monkeypatch, tmp_path):
+    svd = CountingSvd()
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    cache = algfit_module._lobatto_fit
+    cache.cache_clear()
+    # the CLI sweep fits every pair, up to degree 5 * (3 - 1), on 64 points;
+    # the second body finds the same five factorizations cached
+    for body, code, built in ((random_ellipsoid(3, seed=6), 0, 5), (Polytope.cube(3), 2, 0)):
         save_body(body, tmp_path / "body.json")
-        before = counter.columns
+        before = cache.cache_info().misses
         args = ["algfit", "--body", str(tmp_path / "body.json"), "--xi", "0.3,0.5,0.8", "--m-max", "5"]
-        assert cli.main(args + ["--out", str(tmp_path / "fit.json")]) == code
-        assert counter.columns - before == 11
-    # a search that stops at m = 1 (degree 2) builds 3 columns; one that
-    # finds nothing reaches m_max = 6, degree 12
+        assert cli.main(args + ["--format", "csv", "--out", str(tmp_path / "fit.csv")]) == code
+        assert cache.cache_info().misses - before == built
+    # a search that stops at m = 1 (degree 2) builds one factorization; one
+    # that finds nothing reaches m_max = 6, degree 12, on 96 points, and
+    # finds degree 2 cached
     odd = ellipsoid_profile(3, seed=5)[2]
     cube = profile(Polytope.cube(3), Direction.from_vector([1.0, 1.0, 1.0]), num_points=96, margin=0.0)
-    for prof, m, columns in ((odd, 1, 3), (cube, None, 13)):
-        before = counter.columns
+    for prof, m, built in ((odd, 1, 1), (cube, None, 5), (odd, 1, 0), (cube, None, 0)):
+        before = cache.cache_info().misses
         win = detect_min_m(prof, m_max=6)
         assert (None if win is None else win.m) == m
-        assert counter.columns - before == columns
-    # each power's degree search stops at its minimal degree
+        assert cache.cache_info().misses - before == built
+    # the two powers' degree searches share their factorizations
     par = QuadricDomain("paraboloid", np.array([1.0, 1.0]))
-    before = counter.columns
+    cache.cache_clear()
     report = quadric_check(par, Direction.from_vector([0.0, 0.0, 1.0]))
     assert report["verdict"] == "conforms"
-    assert counter.columns - before == sum(r["min_degree"] + 1 for r in report["results"])
-
-
-def test_chebyshev_columns_equal_chebvander():
-    rng = np.random.default_rng(12)
-    for s in (np.linspace(-1.0, 1.0, 40), np.sort(rng.uniform(-1.0, 1.0, 33)), np.array([-1.0, -0.0, 0.0, 1.0])):
-        columns = algfit_module._chebyshev_columns(s)
-        grown = np.empty((13, s.size))
-        for i in range(13):
-            grown[i] = next(columns)
-        for degree in range(13):
-            V = chebyshev.chebvander(s, degree)
-            assert grown[: degree + 1].T.tobytes() == V.tobytes()
+    assert cache.cache_info().misses == max(r["min_degree"] for r in report["results"]) + 1
+    assert svd.calls == 5 + 6 + cache.cache_info().misses
+    for num, degree in ((64, 2), (96, 12)):
+        fit = cache(num, degree)
+        assert fit.rank == degree + 1
+        assert fit.design.tobytes() == chebyshev.chebvander(_lobatto_nodes(num), degree).tobytes()
+        for arr in (fit.design, fit.pinv):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+    # any other grid is factored afresh and leaves the cache alone
+    before = cache.cache_info()
+    calls = svd.calls
+    prof = other_grid_profiles()[0]
+    assert len(list(power_fits(prof, min_m_plan(3, 2)))) == 2
+    assert cache.cache_info() == before
+    assert svd.calls - calls == 2
+    cache.cache_clear()
 
 
 def test_detect_min_m_never_reaches_a_later_pair():

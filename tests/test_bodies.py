@@ -389,6 +389,23 @@ def test_chord_interval_equals_the_two_support_calls_bit_for_bit():
                     chord_interval(body, C)
 
 
+def test_support_chord_and_sections_do_not_depend_on_the_stack_layout():
+    rng = np.random.default_rng(27)
+    for n in range(2, 6):
+        cube = Polytope.cube(n).rotated(random_rotation(n, seed=n)).translated(rng.uniform(-1.0, 1.0, n))
+        for body in (random_ellipsoid(n, seed=n), random_ellipsoid(n, seed=10 + n), random_simplex(n, seed=n), cube):
+            D = _unit_rows(rng.standard_normal((16, n)))
+            lo, hi = chord_interval(body, D)
+            ts = lo[:, None] + (hi - lo)[:, None] * np.array([0.1, 0.37, 0.5, 0.8])
+            # a column-reversed view (negative strides) and a Fortran copy
+            for X in (np.ascontiguousarray(D[:, ::-1])[:, ::-1], np.asfortranarray(D)):
+                assert np.array_equal(X, D) and not X.flags.c_contiguous
+                assert body.support(X).tobytes() == body.support(D).tobytes(), type(body).__name__
+                for got, want in zip(chord_interval(body, X), (lo, hi)):
+                    assert got.tobytes() == want.tobytes(), type(body).__name__
+                assert section_volume(body, X, ts).tobytes() == section_volume(body, D, ts).tobytes()
+
+
 @pytest.mark.parametrize("v", [[1e200, 0.0, 1e200], [1e-200, 0.0, 1e-200], [-1e-160, 0.0, -1e-160]])
 def test_from_vector_normalizes_an_extreme_norm(v, capsys):
     d = Direction.from_vector(v)

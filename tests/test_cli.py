@@ -478,3 +478,68 @@ def test_report_digests_repeat_on_a_two_body_subset(monkeypatch, capsys):
     assert first[-1].startswith("blas core ")
     codes = {line.split(" | ")[1] for line in runs}
     assert codes == {"exit 0", "exit 1", "exit 2"}
+
+
+def test_report_digests_dump_and_compare(monkeypatch, capsys, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import report_digests
+
+    dump = tmp_path / "a.json"
+    assert report_digests.main(["--bodies", "random_ellipsoid2d.json", "--dump", str(dump)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    data = json.loads(dump.read_text())
+    assert [r["exit"] for r in data["runs"]] == [int(line.split(" | ")[1][5:]) for line in lines[:-2]]
+    assert report_digests.main(["--compare", str(dump), str(dump)]) == 0
+    assert capsys.readouterr().out.startswith(f"0 of {len(data['runs'])} runs changed bytes")
+
+    def compare(edit):
+        moved = json.loads(dump.read_text())
+        edit(moved["runs"])
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(moved))
+        code = report_digests.main(["--compare", str(dump), str(path)])
+        return code, capsys.readouterr().out.splitlines()
+
+    def first(runs, command, fmt):
+        return next(r for r in runs if r["argv"][0] == command and r["argv"][4] == fmt)
+
+    # a float that moves is measured against its field's largest magnitude
+    def move_e(runs):
+        run = first(runs, "detect", "json")
+        report = json.loads(run["stdout"])
+        report["report"]["e"][0] += 1e-3 * max(abs(x) for x in report["report"]["e"])
+        run["stdout"] = json.dumps(report)
+
+    code, out = compare(move_e)
+    assert code == 0
+    assert out[0].startswith("changed: detect --body random_ellipsoid2d.json --format json")
+    assert "detect:report.e | 1 | 1.00e-03 |" in "\n".join(out)
+
+    def move_csv_residual(runs):
+        run = first(runs, "algfit", "csv")
+        head, *rows = run["stdout"].splitlines()[1:]
+        m, degree, residual = rows[0].split(",")
+        rows[0] = ",".join([m, degree, repr(2.0 * float(residual))])
+        run["stdout"] = "\n".join([run["stdout"].splitlines()[0], head, *rows]) + "\n"
+
+    code, out = compare(move_csv_residual)
+    assert code == 0 and any(line.startswith("algfit:residual | 1 |") for line in out)
+
+    # an exit code, an integer or a string that differs fails the comparison
+    def change_exit(runs):
+        first(runs, "detect", "csv")["exit"] = 1
+
+    def change_degree(runs):
+        run = first(runs, "algfit", "json")
+        report = json.loads(run["stdout"])
+        report["sweep"][0]["degree"] += 1
+        run["stdout"] = json.dumps(report)
+
+    def change_verdict(runs):
+        run = first(runs, "detect", "csv")
+        run["stdout"] = run["stdout"].replace("verdict,accept", "verdict,reject")
+
+    for edit, what in ((change_exit, "exit differs"), (change_degree, "sweep.degree 1 -> 2"), (change_verdict, "verdict")):
+        code, out = compare(edit)
+        assert code == 1
+        assert any(line.startswith("non-float difference:") and what in line for line in out), what

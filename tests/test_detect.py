@@ -34,7 +34,8 @@ from tomoslice.detect import (
     quadratic_fit,
     section_consistency_check,
 )
-from tomoslice.sections import section_volume
+from tomoslice.algfit import detect_min_m
+from tomoslice.sections import profile, section_volume
 
 
 def test_support_difference_recovers_double_center():
@@ -237,21 +238,53 @@ def _fresh_probes(n, num_probes, seed):
 def test_cached_samples_are_read_only_and_equal_a_fresh_build():
     for n in (2, 3, 4, 5):
         for count, seed in ((2 * n * (n + 1), 0), (200, 7)):
-            dirs, design = detect_module._direction_set(n, count, seed)
+            center, shape = detect_module._direction_set(n, count, seed)
             fresh = sample_directions(n, count, seed=seed, antithetic=True)
-            assert dirs.tobytes() == fresh.tobytes()
-            assert design.tobytes() == detect_module._shape_design(fresh).tobytes()
+            fresh_center, fresh_shape = detect_module._support_fits(fresh.copy())
+            assert center.design.tobytes() == fresh.tobytes()
+            assert shape.design.tobytes() == detect_module._shape_design(fresh).tobytes()
+            assert center.pinv.tobytes() == fresh_center.pinv.tobytes()
+            assert shape.pinv.tobytes() == fresh_shape.pinv.tobytes()
+            assert (center.rank, shape.rank) == (n, n * (n + 1) // 2)
             probe_dirs, fracs = detect_module._probe_set(n, count, seed)
             want_dirs, want_fracs = _fresh_probes(n, count, seed)
             assert probe_dirs.tobytes() == want_dirs.tobytes()
             assert fracs.tobytes() == want_fracs.tobytes()
-            for arr in (dirs, design, probe_dirs, fracs):
+            for arr in (center.design, center.pinv, shape.design, shape.pinv, probe_dirs, fracs):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
             # the public sampler still hands out a fresh, writable array
             fresh[0] = 0.0
-            assert detect_module._direction_set(n, count, seed)[0].tobytes() == dirs.tobytes()
+            assert detect_module._direction_set(n, count, seed)[0].design.tobytes() == center.design.tobytes()
+
+
+def _lstsq_support_fits(body, num_directions, seed):
+    """e and S of the two support stages, each solved by np.linalg.lstsq."""
+    dirs = sample_directions(body.n, num_directions, seed=seed, antithetic=True)
+    lo, hi = chord_interval(body, dirs)
+    e = np.linalg.lstsq(dirs, hi + lo, rcond=None)[0]
+    design = detect_module._shape_design(dirs)
+    coef = np.linalg.lstsq(design, (hi - 0.5 * dirs @ e) ** 2, rcond=None)[0]
+    S = np.zeros((body.n, body.n))
+    for (i, j), val in zip(detect_module._shape_index(body.n), coef):
+        S[i, j] = S[j, i] = val
+    return e, S
+
+
+def test_support_fits_agree_with_lstsq():
+    rng = np.random.default_rng(27)
+    for n in (2, 3, 4, 5):
+        cube = Polytope.cube(n).rotated(random_rotation(n, seed=n)).translated(rng.uniform(-1.0, 1.0, n))
+        ellipsoids = [random_ellipsoid(n, seed=80 + n), random_ellipsoid(n, seed=90 + n)]
+        for body in ellipsoids + [cube]:
+            for num, seed in ((n * (n + 1), 1), (200, 0)):
+                report = is_ellipsoid(body, num_directions=num, seed=seed)
+                e, S = _lstsq_support_fits(body, num, seed)
+                assert np.abs(report.e - e).max() <= 1e-12 * np.abs(e).max()
+                assert np.abs(report.S - S).max() <= 1e-12 * np.abs(S).max()
+        # n(n+1) directions interpolate any support data; 200 tell the cube
+        assert [is_ellipsoid(b).accepted for b in ellipsoids + [cube]] == [True, True, False]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, True, None, "0"])
@@ -319,42 +352,65 @@ def test_consistency_check_rejects_bad_constant_tol(constant_tol):
 def test_is_ellipsoid_builds_one_direction_set(monkeypatch):
     built = []
     real = detect_module.sample_directions
+    real_svd = np.linalg.svd
+    svds = []
 
     def counting(n, count, seed=0, antithetic=False):
         built.append((n, count, seed))
         return real(n, count, seed=seed, antithetic=antithetic)
 
-    def no_rank(*args, **kwargs):
-        raise AssertionError("matrix_rank called")
+    def counting_svd(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    def fail(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        return call
 
     # building a polytope checks its rank, so the cube is built first
     cube = Polytope.cube(3)
     monkeypatch.setattr(detect_module, "sample_directions", counting)
-    monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
-    detect_module._direction_set.cache_clear()
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "matrix_rank", fail("matrix_rank"))
+    monkeypatch.setattr(np.linalg, "lstsq", fail("lstsq"))
+    cache = detect_module._direction_set
+    cache.cache_clear()
     for n in (2, 3, 4):
         built.clear()
+        svds.clear()
+        misses = cache.cache_info().misses
         body = random_ellipsoid(n, seed=n)
         assert is_ellipsoid(body, num_directions=120, seed=2).accepted
         assert built == [(n, 120, 2)]
+        # one factorization per design: the directions and the quadratic one
+        assert svds == [(120, n), (120, n * (n + 1) // 2)]
         # the same key again builds nothing, whichever stage asks for it
         assert is_ellipsoid(body, num_directions=120, seed=2).accepted
         estimate_e(body, num_directions=120, seed=2)
+        quadratic_fit(body, np.zeros(n), num_directions=120, seed=2)
         assert built == [(n, 120, 2)]
+        assert len(svds) == 2
+        assert cache.cache_info().misses - misses == 1
     built.clear()
     assert not is_ellipsoid(cube, seed=0).accepted
     assert not is_ellipsoid(cube, seed=0).accepted
     assert built == [(3, 200, 0)]
-    detect_module._direction_set.cache_clear()
+    cache.cache_clear()
 
 
 def test_planar_direction_set_is_rank_deficient(monkeypatch):
     def planar(n, num_directions, seed):
         angle = np.linspace(0.0, 2.0 * np.pi, num_directions, endpoint=False)
         dirs = np.column_stack([np.cos(angle), np.sin(angle), np.zeros((num_directions, n - 2))])
-        return dirs, detect_module._shape_design(dirs)
+        return detect_module._support_fits(dirs)
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("matrix_rank called")
 
     monkeypatch.setattr(detect_module, "_direction_set", planar)
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
     body = random_ellipsoid(3, seed=5)
     with pytest.raises(ValueError, match="direction set is rank deficient$"):
         estimate_e(body, num_directions=40, seed=0)
@@ -362,6 +418,27 @@ def test_planar_direction_set_is_rank_deficient(monkeypatch):
         quadratic_fit(body, np.zeros(3), num_directions=40, seed=0)
     with pytest.raises(ValueError, match="direction set is rank deficient$"):
         is_ellipsoid(body, num_directions=40, seed=0)
+    center, shape = planar(3, 40, 0)
+    assert (center.rank, shape.rank) == (2, 3)
+
+
+def test_lstsq_is_never_called_by_a_detection_sweep_task(monkeypatch):
+    # is_ellipsoid, the replay, then profile and detect_min_m along three
+    # directions: every design is factored once and cached
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    rng = np.random.default_rng(28)
+    for body, m in ((random_ellipsoid(3, seed=4), 1), (random_ellipsoid(4, seed=5), 2), (Polytope.cube(3), None)):
+        report = is_ellipsoid(body, seed=1)
+        if report.accepted:
+            assert section_consistency_check(body, report, num_probes=25, seed=1) <= 1e-6
+        for _ in range(3):
+            g = rng.standard_normal(body.n)
+            prof = profile(body, g / np.linalg.norm(g), num_points=96, margin=0.0)
+            win = detect_min_m(prof, m_max=4)
+            assert (None if win is None else win.m) == m
 
 
 def test_detection_sweep_script_smoke(tmp_path):

@@ -474,6 +474,43 @@ def test_profile_reads_its_direction_at_most_twice(monkeypatch):
         assert not prof.xi.flags.writeable
 
 
+def test_mc_reads_its_direction_once(monkeypatch):
+    reads = []
+    real_rows = bodies_module._direction_rows
+
+    def counting_rows(xi, n):
+        reads.append(np.shape(xi))
+        return real_rows(xi, n)
+
+    par = QuadricDomain("paraboloid", np.array([1.0, 0.7]))
+    box = (np.array([-2.0, -2.0, 0.0]), np.array([2.0, 2.0, 3.0]))
+    cases = (
+        (random_ellipsoid(3, seed=2), None),
+        (Polytope.cube(3), None),
+        (random_simplex(4, seed=1), None),
+        (par, box),
+    )
+    for body, box in cases:
+        xi = np.arange(1.0, body.n + 1.0)
+        xi /= np.linalg.norm(xi)
+        if box is None:
+            lo, hi = chord_interval(body, xi)
+        else:
+            # an unbounded body sizes its slab by the box's extent along xi
+            lo = -np.maximum(-xi * box[0], -xi * box[1]).sum()
+            hi = np.maximum(xi * box[0], xi * box[1]).sum()
+        t = 0.4 * lo + 0.6 * hi
+        want = section_volume_mc(body, xi, t, slab_halfwidth=1e-3 * (hi - lo), samples=20_000, seed=3, box=box)
+        monkeypatch.setattr(bodies_module, "_direction_rows", counting_rows)
+        monkeypatch.setattr(sections_module, "_direction_rows", counting_rows)
+        reads.clear()
+        got = section_volume_mc(body, xi, t, samples=20_000, seed=3, box=box)
+        monkeypatch.undo()
+        # the default slab reuses the checked direction for its chord
+        assert reads == [(body.n,)], type(body).__name__
+        assert got == want
+
+
 def test_profile_equals_its_parts():
     for body, xi in ((random_ellipsoid(4, seed=3), unit([0.2, -0.4, 0.1, 0.9])), (Polytope.cube(3), unit([0.3, -0.5, 0.8]))):
         for margin in (0.0, 0.02, 0.3):
