@@ -53,9 +53,7 @@ from .algfit import (
 )
 from .detect import (
     EllipsoidReport,
-    estimate_e,
     is_ellipsoid,
-    quadratic_fit,
     section_consistency_check,
 )
 from . import cli  # binds tomoslice.cli, which callers reach as an attribute
@@ -101,8 +99,6 @@ __all__ = [
     "exponent_estimate",
     "principal_curvatures",
     "predicted_boundary_constant",
-    "estimate_e",
-    "quadratic_fit",
     "is_ellipsoid",
     "section_consistency_check",
     "quadric_check",

@@ -64,6 +64,10 @@ EFFECTIVE_DEGREE_CUTOFF = 1e-9
 CONFORM_TOL = 1e-8
 QUADRIC_TOL = 1e-8
 QUADRIC_MAX_DEGREE = 8
+# log-spaced depths of the boundary regression (exponent_estimate)
+_EXPONENT_POINTS = 16
+# tangential offset of the curvature oracle's finite differences
+_CURVATURE_STEP = 1e-4
 
 
 @dataclass(eq=False)
@@ -313,11 +317,12 @@ def quadric_check(body, xi, window=None, num_points=64, tol=QUADRIC_TOL):
     return {"window": [float(window[0]), float(window[1])], "results": results, "verdict": verdict}
 
 
-def root_structure(report, h_plus, h_minus, conform_tol=CONFORM_TOL):
+def root_structure(report, h_plus, h_minus):
     """Score the endpoint-root factorization of a fitted power.
 
     Fits the single scalar c in A^m ~ c*(h_plus - t)^{M/2}*(h_minus + t)^{M/2}
-    over the report's own samples and reports the relative mismatch.  Root
+    over the report's own samples and reports the relative mismatch, which
+    must stay below CONFORM_TOL for the fit to conform.  Root
     locations are recovered from the flattened samples (A^m)^{2/M}, which for
     a conforming body is exactly the quadratic (h_plus - t)(h_minus + t) up to
     scale; its simple roots are numerically stable where the multiple roots
@@ -354,7 +359,7 @@ def root_structure(report, h_plus, h_minus, conform_tol=CONFORM_TOL):
         if rts.size == 2:
             roots = [(float(rts[0]), half), (float(rts[1]), half)]
     rr = RootStructureReport(
-        verdict="conforms" if mismatch < conform_tol else "deviates",
+        verdict="conforms" if mismatch < CONFORM_TOL else "deviates",
         scale=scale,
         mismatch=mismatch,
         roots=roots,
@@ -365,22 +370,18 @@ def root_structure(report, h_plus, h_minus, conform_tol=CONFORM_TOL):
     return rr
 
 
-def normalized_section_constant(body, xi, t=None):
+def normalized_section_constant(body, xi):
     """Per-direction section coefficient, rescaled to be direction-free for
     quadratically supported bodies.
 
     Writing A(xi, t) = C(xi) * ((h_plus - t)(h_minus + t))^{(n-1)/2}, the raw
     coefficient C(xi) carries a factor (half-chord)^{-n}; multiplying it out
     leaves a constant that moment conditions force to be direction
-    independent.  Evaluated at the chord midpoint unless t is given.
+    independent.  Evaluated at the chord midpoint.
     """
     d = _one_direction(xi, body.n)
     t_lo, t_hi = chord_interval(body, d)
-    if t is None:
-        t = 0.5 * (t_lo + t_hi)
-    t = float(t)
-    if not t_lo < t < t_hi:
-        raise ValueError("evaluation point must lie strictly inside the chord interval")
+    t = float(0.5 * (t_lo + t_hi))
     return normalized_constant_from_value(section_volume(body, d, t), t, t_lo, t_hi, body.n)
 
 
@@ -425,12 +426,12 @@ class AsymptoticReport:
         }
 
 
-def exponent_estimate(body, xi, window=(1e-4, 1e-2), num_points=16):
+def exponent_estimate(body, xi, window=(1e-4, 1e-2)):
     """Log-log regression of the boundary decay of A along xi.
 
     ``window`` gives the depth range below t0 = h(xi) in units of the chord
     width; for unbounded bodies (no chord) the window is taken in absolute
-    units.  At least 12 log-spaced depths are required for a stable slope.
+    units.  The regression uses 16 log-spaced depths (_EXPONENT_POINTS).
     """
     if isinstance(body, Polytope):
         raise TypeError("boundary power laws need a strictly convex body")
@@ -438,7 +439,6 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2), num_points=16):
     lo, hi = _finite_window(window)
     if not 0.0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
-    _require_int("num_points", num_points, 12)
     try:
         t_lo, t_hi = chord_interval(body, d)
     except InfiniteSupportError:
@@ -451,7 +451,7 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2), num_points=16):
         width = t_hi - t_lo
         if hi > 0.1:
             raise ValueError("window exceeds 0.1 of the chord width")
-    depths = np.geomspace(lo, hi, num_points) * width
+    depths = np.geomspace(lo, hi, _EXPONENT_POINTS) * width
     t0 = t_hi
     values = section_volume(body, d, t0 - depths)
     if np.any(values < 1e-300):
@@ -463,7 +463,7 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2), num_points=16):
         estimated_exponent=float(slope),
         estimated_constant=float(math.exp(intercept)),
         window=(lo, hi),
-        num_points=num_points,
+        num_points=_EXPONENT_POINTS,
         depths=depths,
         values=values,
     )
@@ -523,26 +523,25 @@ def _entry_depths(body, bases, inward):
     return 0.5 * (lo + hi)
 
 
-def principal_curvatures(body, xi, step=1e-4):
+def principal_curvatures(body, xi):
     """Principal curvatures of the boundary at the support touching point.
 
     Independent oracle: seats an orthonormal tangent frame at the maximizer of
     x.xi, measures the depth at which rays parallel to -xi re-enter the body
-    for small tangential offsets, and differences those depths to a Hessian.
-    Uses only membership queries, never the section formulas, so it can sit on
-    the other side of a cross-check.
+    for tangential offsets of 1e-4 (_CURVATURE_STEP), and differences those
+    depths to a Hessian.  Uses only membership queries, never the section
+    formulas, so it can sit on the other side of a cross-check.
 
     The 2k + 4*k(k-1)/2 rays of a k-dimensional tangent frame are built up
     front and searched together as arrays, so one curvature makes at most
     1 + 8 + 70 ``contains_points`` calls and no ``contains`` call (about 29
     on an ellipsoid).
     """
-    _require_tol("step", step)
     v = _one_direction(xi, body.n)
     x0 = body.argmax_support(v)
     U = _tangent_frame(v)
     k = U.shape[1]
-    e = np.eye(k) * step
+    e = np.eye(k) * _CURVATURE_STEP
     # offsets +-e_i, then +-e_i +- e_j for each pair i < j in row-major order
     offsets = [y for i in range(k) for y in (e[i], -e[i])]
     offsets += [
@@ -553,17 +552,18 @@ def principal_curvatures(body, xi, step=1e-4):
     Y = np.array(offsets)
     # x0 + U @ y for every row y
     depth = _entry_depths(body, x0 + _row_products(U, Y), -v)
-    H = np.diag((depth[0 : 2 * k : 2] + depth[1 : 2 * k : 2]) / step**2)
+    H = np.diag((depth[0 : 2 * k : 2] + depth[1 : 2 * k : 2]) / _CURVATURE_STEP**2)
     quad = depth[2 * k :].reshape(-1, 4)
     rows, cols = np.triu_indices(k, 1)
-    H[rows, cols] = H[cols, rows] = (quad[:, 0] - quad[:, 1] - quad[:, 2] + quad[:, 3]) / (4.0 * step**2)
+    mixed = quad[:, 0] - quad[:, 1] - quad[:, 2] + quad[:, 3]
+    H[rows, cols] = H[cols, rows] = mixed / (4.0 * _CURVATURE_STEP**2)
     kappa = np.linalg.eigvalsh(H)
     if np.any(kappa <= 0):
         raise ValueError("boundary contact is not elliptic: nonpositive curvature measured")
     return kappa
 
 
-def predicted_boundary_constant(body, xi, step=1e-4):
+def predicted_boundary_constant(body, xi):
     """Constant c in A ~ c * (t0 - t)^{(n-1)/2} from the curvature oracle.
 
     Near an elliptic boundary point the level sets of x.xi cut the body in
@@ -571,6 +571,6 @@ def predicted_boundary_constant(body, xi, step=1e-4):
     of such a slice is the unit-ball volume of dimension n-1 times
     (2*delta)^{(n-1)/2} / sqrt(prod kappa_j).
     """
-    kappa = principal_curvatures(body, xi, step=step)
+    kappa = principal_curvatures(body, xi)
     k = kappa.size
     return unit_ball_volume(k) * 2.0 ** (k / 2.0) / math.sqrt(float(np.prod(kappa)))

@@ -593,26 +593,27 @@ def random_rotation(n, seed=0):
     return Q
 
 
-def random_ellipsoid(n, seed=0, axis_range=(0.6, 1.8), center_radius=(0.15, 0.45)):
-    """Seeded random ellipsoid: random orientation, semi-axes in axis_range,
-    center at a distance drawn from center_radius (bounded away from 0 so that
+def random_ellipsoid(n, seed=0):
+    """Seeded random ellipsoid: random orientation, semi-axes in [0.6, 1.8),
+    center at a distance drawn from [0.15, 0.45) (bounded away from 0 so that
     odd moments have a healthy scale)."""
     rng = np.random.Generator(np.random.Philox(seed))
-    axes = rng.uniform(*axis_range, size=n)
+    axes = rng.uniform(0.6, 1.8, size=n)
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     Q *= np.sign(np.diag(R))
     M = Q @ np.diag(1.0 / axes**2) @ Q.T
     u = rng.standard_normal(n)
     u /= np.linalg.norm(u)
-    center = u * rng.uniform(*center_radius)
+    center = u * rng.uniform(0.15, 0.45)
     return Ellipsoid(center, 0.5 * (M + M.T))
 
 
-def random_simplex(n, seed=0, spread=0.8):
-    """Seeded random full-dimensional simplex with n + 1 Gaussian vertices."""
+def random_simplex(n, seed=0):
+    """Seeded random full-dimensional simplex with n + 1 Gaussian vertices of
+    standard deviation 0.8."""
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(64):
-        V = rng.standard_normal((n + 1, n)) * spread
+        V = rng.standard_normal((n + 1, n)) * 0.8
         if np.linalg.matrix_rank(V - V[0]) == n:
             return Polytope(V)
     raise RuntimeError("failed to draw a nondegenerate simplex")

@@ -91,10 +91,7 @@ def _cmd_profile(body, xi, config):
 
 
 def _cmd_moments(body, xi, config):
-    reports = [
-        radon.range_test(body, k, config["directions"], seed=config["seed"], quad_order=config["quad_order"])
-        for k in (0, 1, 2)
-    ]
+    reports = [radon.range_test(body, k, config["directions"], seed=config["seed"]) for k in (0, 1, 2)]
     if config["format"] == "json":
         return _json_report(config, {"reports": [r.to_dict() for r in reports]}), EXIT_OK
     rows = []
@@ -128,13 +125,7 @@ def _cmd_algfit(body, xi, config):
 
 
 def _cmd_detect(body, xi, config):
-    report = detect.is_ellipsoid(
-        body,
-        tol_linear=config["tol"],
-        tol_quadratic=config["tol"],
-        num_directions=config["directions"],
-        seed=config["seed"],
-    )
+    report = detect.is_ellipsoid(body, tol=config["tol"], num_directions=config["directions"], seed=config["seed"])
     code = EXIT_OK if report.accepted else EXIT_NEGATIVE
     if config["format"] == "json":
         return _json_report(config, {"report": report.to_dict()}), code
@@ -147,7 +138,7 @@ def _cmd_detect(body, xi, config):
 
 
 def _cmd_asymptote(body, xi, config):
-    report = algfit.exponent_estimate(body, xi, window=(1e-4, 1e-3), num_points=16)
+    report = algfit.exponent_estimate(body, xi, window=(1e-4, 1e-3))
     predicted = algfit.predicted_boundary_constant(body, xi)
     payload = report.to_dict()
     payload["predicted_constant"] = predicted
@@ -177,11 +168,6 @@ _OPTIONS = {
     "--margin": {"type": float, "default": None, "help": "relative margin trimmed per chord end (default 0.02)"},
     "--m-max": {"type": int, "default": 4, "help": "largest power to try"},
     "--tol": {"type": float, "default": None, "help": "acceptance tolerance"},
-    "--quad-order": {
-        "type": int,
-        "default": None,
-        "help": "quadrature nodes per piece (default: the exact order for each moment)",
-    },
     "--directions": {"type": int, "default": 200},
     "--seed": {"type": int, "default": 0},
     "--window": {"default": None, "help": "explicit t window LO,HI (quadric bodies)"},
@@ -190,7 +176,7 @@ _OPTIONS = {
 # each subcommand's handler and the options it reads
 _COMMANDS = {
     "profile": (_cmd_profile, ("--xi", "--grid", "--margin", "--window")),
-    "moments": (_cmd_moments, ("--directions", "--seed", "--quad-order")),
+    "moments": (_cmd_moments, ("--directions", "--seed")),
     "algfit": (_cmd_algfit, ("--xi", "--grid", "--margin", "--m-max", "--tol")),
     "detect": (_cmd_detect, ("--tol", "--directions", "--seed")),
     "asymptote": (_cmd_asymptote, ("--xi",)),

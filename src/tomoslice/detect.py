@@ -32,8 +32,6 @@ from .sections import section_volume
 
 __all__ = [
     "EllipsoidReport",
-    "estimate_e",
-    "quadratic_fit",
     "is_ellipsoid",
     "section_consistency_check",
     "SectionConstantError",
@@ -43,6 +41,8 @@ __all__ = [
 _RESIDUAL_GUARD = 1e-300
 DEFAULT_TOL_EXACT = 1e-8
 DEFAULT_NUM_DIRECTIONS = 200
+# the replay's bound on the relative spread of the normalized section constant
+_CONSTANT_TOL = 1e-8
 
 
 class SectionConstantError(ValueError):
@@ -113,8 +113,14 @@ def _require_bounded(body):
 
 
 def _fit_center(center, odd):
-    """estimate_e on the center fit of a direction set (``_support_fits``) and
-    its odd support data h(xi) - h(-xi)."""
+    """The least-squares vector e with h(xi) - h(-xi) ~ e.xi, from the center
+    fit of a direction set (``_support_fits``) and its odd support data
+    h(xi) - h(-xi) = hi + lo.
+
+    For an ellipsoid centered at c this difference is exactly 2*c.xi, so e
+    recovers twice the center.  Returns (e, relative_residual); the residual
+    is the size of the non-linear part of the odd support data.
+    """
     dirs = center.design
     if center.rank < dirs.shape[1]:
         raise ValueError("direction set is rank deficient")
@@ -125,8 +131,14 @@ def _fit_center(center, odd):
 
 
 def _fit_shape(shape, H, n):
-    """quadratic_fit in R^n on the quadratic-form fit of a direction set
-    (``_support_fits``) and its recentered support data H(xi)."""
+    """The quadratic form xi^T S xi in R^n that fits H(xi)^2 best, from the
+    shape fit of a direction set (``_support_fits``) and its recentered
+    support data H(xi) = h(xi) - e.xi / 2.
+
+    Returns (S, relative_residual).  For an ellipsoid with shape matrix M the
+    recentered support satisfies H^2 = xi^T M^-1 xi exactly, so S estimates
+    M^-1 and the residual measures the distance from quadratic support data.
+    """
     design = shape.design
     if shape.rank < design.shape[1]:
         raise ValueError("direction set is rank deficient for the quadratic basis")
@@ -140,46 +152,13 @@ def _fit_shape(shape, H, n):
     return S, rel
 
 
-def estimate_e(body, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
-    """Least-squares vector e with h(xi) - h(-xi) ~ e.xi over a direction set.
-
-    For an ellipsoid centered at c this difference is exactly 2*c.xi, so e
-    recovers twice the center.  Returns (e, relative_residual); the residual
-    is the size of the non-linear part of the odd support data.
-    """
-    n = body.n
-    _require_int("num_directions", num_directions, 2 * n)
-    _require_int("seed", seed, 0)
-    _require_bounded(body)
-    center, _ = _direction_set(n, num_directions, seed)
-    lo, hi = chord_interval(body, center.design)
-    return _fit_center(center, hi + lo)
-
-
-def quadratic_fit(body, e, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
-    """Fit H(xi)^2 by a quadratic form xi^T S xi, H(xi) = h(xi) - e.xi / 2.
-
-    Returns (S, relative_residual).  For an ellipsoid with shape matrix M the
-    recentered support satisfies H^2 = xi^T M^-1 xi exactly, so S estimates
-    M^-1 and the residual measures the distance from quadratic support data.
-    """
-    n = body.n
-    _require_int("num_directions", num_directions, n * (n + 1))
-    _require_int("seed", seed, 0)
-    e = np.asarray(e, dtype=float)
-    _require_bounded(body)
-    center, shape = _direction_set(n, num_directions, seed)
-    dirs = center.design
-    return _fit_shape(shape, body.support(dirs) - 0.5 * dirs @ e, n)
-
-
 @dataclass(eq=False)
 class EllipsoidReport:
     """Outcome of the two-stage support-function test.
 
     On acceptance, recovered_center = e/2 and recovered_shape = S^-1 define
     the ellipsoid {x : (x - center)^T shape (x - center) <= 1} whose support
-    function reproduces the input data to within the quadratic tolerance.
+    function reproduces the input data to within the tolerance.
     """
 
     e: np.ndarray
@@ -189,8 +168,7 @@ class EllipsoidReport:
     recovered_center: np.ndarray | None
     recovered_shape: np.ndarray | None
     verdict: str  # "accept" | "reject"
-    tol_linear: float
-    tol_quadratic: float
+    tol: float
     num_directions: int
     seed: int
 
@@ -214,32 +192,28 @@ class EllipsoidReport:
             else self.recovered_center.tolist(),
             "recovered_shape": None if self.recovered_shape is None else self.recovered_shape.tolist(),
             "verdict": self.verdict,
-            "tol_linear": self.tol_linear,
-            "tol_quadratic": self.tol_quadratic,
+            "tol": self.tol,
             "num_directions": self.num_directions,
             "seed": self.seed,
         }
 
 
-def is_ellipsoid(
-    body,
-    tol_linear=DEFAULT_TOL_EXACT,
-    tol_quadratic=DEFAULT_TOL_EXACT,
-    num_directions=DEFAULT_NUM_DIRECTIONS,
-    seed=0,
-):
+def is_ellipsoid(body, tol=DEFAULT_TOL_EXACT, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     """Run both support-function stages and bundle the verdict.
 
-    Accept requires: linear residual below tol_linear, quadratic residual
-    below tol_quadratic, and the fitted form S positive definite.  The default
-    tolerances assume exact support evaluations; data from the Monte Carlo
-    oracle calls for the documented loosening to about 1e-4.
+    Accept requires both relative residuals below ``tol`` and the fitted form
+    S positive definite: its smallest eigenvalue above eps * max(M, N) times
+    its largest, the rank cutoff of the fit's own design (M directions,
+    N = n(n+1)/2 unknowns), so a rank-one S whose small eigenvalue is only
+    roundoff is not definite.  The direction set needs at least n(n+1) + 2
+    directions, one antithetic pair more than twice the unknowns of S.  The
+    default tolerance assumes exact support evaluations; data from the Monte
+    Carlo oracle calls for the documented loosening to about 1e-4.
     """
     n = body.n
-    # n(n+1) directions also cover the 2n of the linear stage
-    _require_int("num_directions", num_directions, n * (n + 1))
-    _require_tol("tol_linear", tol_linear)
-    _require_tol("tol_quadratic", tol_quadratic)
+    # n(n+1) + 2 directions also cover the 2n of the linear stage
+    _require_int("num_directions", num_directions, n * (n + 1) + 2)
+    _require_tol("tol", tol)
     _require_int("seed", seed, 0)
     _require_bounded(body)
     # both stages share one direction set and read each support value once:
@@ -250,8 +224,10 @@ def is_ellipsoid(
     e, lin_res = _fit_center(center, hi + lo)
     S, quad_res = _fit_shape(shape, hi - 0.5 * dirs @ e, n)
     eigvals = np.linalg.eigvalsh(S)
-    definite = bool(eigvals.min() > 0.0)
-    ok = lin_res < tol_linear and quad_res < tol_quadratic and definite
+    # passing implies eigvals[0] > 0: a negative eigvals[-1] puts the cutoff
+    # above every eigenvalue
+    definite = bool(eigvals[0] > np.finfo(float).eps * max(shape.design.shape) * eigvals[-1])
+    ok = lin_res < tol and quad_res < tol and definite
     # recovered geometry only accompanies an accept; on reject the raw e and S
     # stay available as diagnostics but name no ellipsoid
     shape = None
@@ -266,22 +242,21 @@ def is_ellipsoid(
         recovered_center=0.5 * e if ok else None,
         recovered_shape=shape,
         verdict="accept" if ok else "reject",
-        tol_linear=tol_linear,
-        tol_quadratic=tol_quadratic,
+        tol=tol,
         num_directions=num_directions,
         seed=seed,
     )
 
 
-def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=1e-8):
+def section_consistency_check(body, report, num_probes=50, seed=0):
     """Replay the recovered ellipsoid's closed-form sections against the input.
 
     Probes random (direction, offset) pairs with offsets drawn from the middle
     80 percent of the input body's chord, and returns the maximum relative
     error between the reconstruction's section volume and the input engine's.
     Along the way the per-direction normalized section coefficient is
-    extracted from the input body; if it fails to be direction independent
-    within ``constant_tol`` the input is not section-wise ellipsoidal and a
+    extracted from the input body; if its relative spread across directions
+    exceeds 1e-8 the input is not section-wise ellipsoidal and a
     SectionConstantError is raised.
 
     The probes go to the section engines as one direction stack: one
@@ -291,8 +266,6 @@ def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=
     """
     _require_int("num_probes", num_probes, 1)
     _require_int("seed", seed, 0)
-    if not constant_tol >= 0.0:
-        raise ValueError(f"constant_tol must be a non-negative number, got {constant_tol!r}")
     if not report.accepted:
         raise ValueError("consistency check needs an accepted report")
     recovered = report.recovered_body()
@@ -309,7 +282,7 @@ def section_consistency_check(body, report, num_probes=50, seed=0, constant_tol=
     errs = np.abs(a_rec - a_in) / np.maximum(np.abs(a_in), _RESIDUAL_GUARD)
     constants = normalized_constant_from_value(a_mid, mids, t_lo, t_hi, n)
     spread = float(constants.max() - constants.min()) / max(abs(float(constants.mean())), _RESIDUAL_GUARD)
-    if spread > constant_tol:
+    if spread > _CONSTANT_TOL:
         raise SectionConstantError(
             f"normalized section coefficient varies across directions (spread {spread:.3e})"
         )

@@ -6,8 +6,8 @@ homogeneous polynomial of degree k.  This module computes the moments by
 quadrature and tests that polynomial structure by least squares over a
 direction sample; the residual is the diagnostic quantity.
 
-Moments of any order k >= 0 come out exact up to roundoff: by default each
-rule gets the fewest nodes that integrate A(xi, t) t^k exactly.  ``moment``
+Moments of any order k >= 0 come out exact up to roundoff: each rule gets
+the fewest nodes that integrate A(xi, t) t^k exactly.  ``moment``
 takes one direction or an (m, n) stack of unit rows, like the section
 engines, and evaluates the nodes of every row in a single section_volume
 call; a range test is therefore one engine call over its whole direction
@@ -60,7 +60,7 @@ def _exact_quad_order(body, k):
     return k // 2 + 1
 
 
-def moment(target, xi, k, quad_order=None):
+def moment(target, xi, k):
     """k-th t-moment of the section profile along xi, or along each row of a
     direction stack.
 
@@ -81,20 +81,17 @@ def moment(target, xi, k, quad_order=None):
       gaps between a row's sorted vertex heights.  A gap between tied
       heights has zero width and adds nothing.
 
-    ``quad_order=None`` picks the exact order for the body: ceil((n + k) / 2)
-    Gauss-Legendre nodes per polytope piece, ceil((k + 1) / 2) Gauss-Jacobi
-    nodes for an ellipsoid.  An explicit positive integer overrides it.
+    Each rule has the exact order for the body (``_exact_quad_order``):
+    ceil((n + k) / 2) Gauss-Legendre nodes per polytope piece,
+    ceil((k + 1) / 2) Gauss-Jacobi nodes for an ellipsoid.
     """
     _require_int("k", k, 0)
-    if quad_order is not None:
-        _require_int("quad_order", quad_order, 1)
     if isinstance(target, QuadricDomain):
         raise InfiniteSupportError("moments of an unbounded body diverge")
     if not isinstance(target, (Ellipsoid, Polytope)):
         raise TypeError(f"no moment rule for {type(target).__name__}")
     D, stacked = _direction_rows(xi, target.n)
-    if quad_order is None:
-        quad_order = _exact_quad_order(target, k)
+    quad_order = _exact_quad_order(target, k)
     if isinstance(target, Ellipsoid):
         alpha = (target.n - 1) / 2.0
         s, w = roots_jacobi(quad_order, alpha, alpha)
@@ -149,7 +146,7 @@ class MomentReport:
     relative_residual: float
     absolute_residual: float
     seed: int
-    quad_order: int  # the order actually used
+    quad_order: int  # the exact order moment() used
 
     def to_dict(self):
         return {
@@ -165,23 +162,22 @@ class MomentReport:
         }
 
 
-def range_test(body, k, num_directions, seed=0, quad_order=None):
+def range_test(body, k, num_directions, seed=0):
     """Fit M_k over a direction sample by a homogeneous degree-k polynomial.
 
     The directions come from the Fibonacci lattice for n = 3 and from a
     seeded uniform sample otherwise.  Requires at least twice as many
     directions as degree-k monomials; raises if the design matrix is rank
     deficient.  The moments come from one :func:`moment` call on the
-    direction stack, which is one section engine call.  ``quad_order=None``
-    uses the exact order of :func:`moment`; the report records the order
-    actually used.
+    direction stack, which is one section engine call.  The report records
+    the exact quadrature order :func:`moment` used.
     """
     _require_int("k", k, 0)
     n = body.n
     exponents = homogeneous_exponents(n, k)
     _require_int("num_directions", num_directions, 2 * len(exponents))
     dirs = sample_directions(n, num_directions, seed=seed)
-    moments = moment(body, dirs, k, quad_order=quad_order)
+    moments = moment(body, dirs, k)
     design = monomial_design_matrix(dirs, exponents)
     if np.linalg.matrix_rank(design) < len(exponents):
         raise ValueError("direction set is rank deficient for this monomial basis")
@@ -204,5 +200,5 @@ def range_test(body, k, num_directions, seed=0, quad_order=None):
         relative_residual=relative,
         absolute_residual=absolute,
         seed=seed,
-        quad_order=_exact_quad_order(body, k) if quad_order is None else quad_order,
+        quad_order=_exact_quad_order(body, k),
     )

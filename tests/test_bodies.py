@@ -34,7 +34,7 @@ from tomoslice.bodies import (
     support,
     unit_ball_volume,
 )
-from tomoslice.detect import estimate_e, is_ellipsoid, quadratic_fit
+from tomoslice.detect import is_ellipsoid
 from tomoslice.radon import moment, range_test
 from tomoslice.sections import lobatto_grid, profile, section_volume, section_volume_mc
 
@@ -442,7 +442,6 @@ _BALL = Ellipsoid.from_axes([1.0, 1.0, 1.0])
     "name, call",
     [
         pytest.param("num_points", lambda: profile(_BALL, E3, num_points=16.5), id="profile"),
-        pytest.param("num_points", lambda: exponent_estimate(_BALL, E3, num_points=16.0), id="exponent_estimate"),
         pytest.param(
             "num_points",
             lambda: quadric_check(QuadricDomain("paraboloid", np.ones(2)), E3, num_points=32.5),
@@ -454,12 +453,6 @@ _BALL = Ellipsoid.from_axes([1.0, 1.0, 1.0])
         pytest.param("count", lambda: sample_directions(4, 0), id="sample_directions-n4"),
         pytest.param("count", lambda: sample_directions(2, True, antithetic=True), id="sample_directions-n2"),
         pytest.param("num_directions", lambda: range_test(Polytope.cube(3), 2, 40.0), id="range_test"),
-        pytest.param("num_directions", lambda: estimate_e(_BALL, num_directions=40.0), id="estimate_e"),
-        pytest.param(
-            "num_directions",
-            lambda: quadratic_fit(_BALL, np.zeros(3), num_directions=40.0),
-            id="quadratic_fit",
-        ),
         pytest.param("num_directions", lambda: is_ellipsoid(_BALL, num_directions=200.5), id="is_ellipsoid"),
     ],
 )

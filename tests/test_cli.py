@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tomoslice import cli
-from tomoslice.bodies import Ellipsoid, Polytope, QuadricDomain, random_ellipsoid, save_body
+from tomoslice.bodies import Ellipsoid, Polytope, QuadricDomain, random_ellipsoid, random_simplex, save_body
 
 
 @pytest.fixture()
@@ -71,22 +71,16 @@ def test_moments_report(body_dir):
             assert res < 1e-8
 
 
-def test_moments_quad_order_default_and_override(body_dir):
+def test_moments_record_the_exact_quad_order(body_dir):
     out = body_dir / "mom_cube.json"
     code = run_cli(["moments", "--body", body_dir / "cube.json", "--directions", "20", "--out", out])
     assert code == 0
     rep = json.loads(out.read_text())
-    # null in the config means "exact order"; each report records the order used
-    assert rep["config"]["quad_order"] is None
+    # the order is always exact, so only each report records it
+    assert "quad_order" not in rep["config"]
     assert [r["quad_order"] for r in rep["reports"]] == [2, 2, 3]
     for r in rep["reports"]:
         assert r["relative_residual"] is None or r["relative_residual"] < 1e-12
-    code = run_cli(["moments", "--body", body_dir / "cube.json", "--directions", "20",
-                    "--quad-order", "6", "--out", out])
-    assert code == 0
-    rep = json.loads(out.read_text())
-    assert rep["config"]["quad_order"] == 6
-    assert [r["quad_order"] for r in rep["reports"]] == [6, 6, 6]
 
 
 def test_algfit_accepts_ellipsoid(body_dir):
@@ -119,6 +113,26 @@ def test_detect_exit_codes(body_dir):
     assert run_cli(["detect", "--body", body_dir / "cube.json", "--out", out]) == 2
     rep = json.loads(out.read_text())
     assert rep["report"]["verdict"] == "reject"
+
+
+def test_detect_rejects_thin_triangles(body_dir):
+    out = body_dir / "det.json"
+    # each fits a rank-one form S whose small eigenvalue is only roundoff:
+    # not definite, so rejected, and S is never inverted
+    for seed, extra in ((96, []), (172, []), (249, []), (36, ["--directions", "14", "--seed", "36"])):
+        save_body(random_simplex(2, seed=seed), body_dir / "tri.json")
+        assert run_cli(["detect", "--body", body_dir / "tri.json", *extra, "--out", out]) == 2
+        rep = json.loads(out.read_text())["report"]
+        assert rep["verdict"] == "reject"
+        assert max(rep["linear_residual"], rep["quadratic_residual"]) < 1e-14
+
+
+def test_detect_needs_one_pair_more_than_twice_the_unknowns(body_dir, capsys):
+    save_body(Ellipsoid.from_axes([1.0, 2.0]), body_dir / "disk.json")
+    out = body_dir / "det.json"
+    assert run_cli(["detect", "--body", body_dir / "disk.json", "--directions", "6", "--out", out]) == 1
+    assert "num_directions must be an integer >= 8" in capsys.readouterr().err
+    assert run_cli(["detect", "--body", body_dir / "disk.json", "--directions", "8", "--out", out]) == 0
 
 
 def test_asymptote_report(body_dir):
@@ -237,7 +251,6 @@ _ALTERNATIVE = {
     "--margin": "0.1",
     "--m-max": "1",
     "--tol": "0.5",
-    "--quad-order": "6",
     "--directions": "100",
     "--seed": "1",
     "--window": "0.5,1",
@@ -272,7 +285,7 @@ def test_every_declared_option_changes_the_report(body_dir):
         ["profile", "--xi", "0,0,1", "--seed", "1"],
         ["moments", "--xi", "0,0,1"],
         ["algfit", "--xi", "0,0,1", "--window", "0,1"],
-        ["detect", "--quad-order", "4"],
+        ["detect", "--grid", "32"],
         ["asymptote", "--xi", "0,0,1", "--grid", "32"],
         ["quadric-check", "--xi", "0,0,1", "--margin", "0.1"],
     ],

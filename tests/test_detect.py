@@ -29,9 +29,7 @@ from tomoslice.bodies import (
 from tomoslice.detect import (
     EllipsoidReport,
     SectionConstantError,
-    estimate_e,
     is_ellipsoid,
-    quadratic_fit,
     section_consistency_check,
 )
 from tomoslice.algfit import detect_min_m
@@ -40,17 +38,16 @@ from tomoslice.sections import profile, section_volume
 
 def test_support_difference_recovers_double_center():
     body = random_ellipsoid(3, seed=5)
-    e, res = estimate_e(body, num_directions=40, seed=1)
-    assert e == pytest.approx(2.0 * body.center, abs=1e-10)
-    assert res < 1e-10
+    rep = is_ellipsoid(body, num_directions=40, seed=1)
+    assert rep.e == pytest.approx(2.0 * body.center, abs=1e-10)
+    assert rep.linear_residual < 1e-10
 
 
 def test_quadratic_fit_recovers_inverse_shape():
     body = random_ellipsoid(3, seed=6)
-    e, _ = estimate_e(body, num_directions=40, seed=1)
-    S, res = quadratic_fit(body, e, num_directions=60, seed=2)
-    assert res < 1e-10
-    assert np.linalg.inv(S) == pytest.approx(body.shape, rel=1e-8)
+    rep = is_ellipsoid(body, num_directions=60, seed=2)
+    assert rep.quadratic_residual < 1e-10
+    assert np.linalg.inv(rep.S) == pytest.approx(body.shape, rel=1e-8)
 
 
 def test_accepts_random_ellipsoids():
@@ -124,10 +121,11 @@ def test_verdict_stable_across_seeds():
 
 def test_direction_budget_validation():
     body = random_ellipsoid(3, seed=2)
-    with pytest.raises(ValueError):
-        estimate_e(body, num_directions=4, seed=0)
-    with pytest.raises(ValueError):
-        quadratic_fit(body, np.zeros(3), num_directions=8, seed=0)
+    # n(n+1) + 2 = 14: one antithetic pair more than twice S's 6 unknowns
+    for num in (4, 8, 12, 13):
+        with pytest.raises(ValueError, match="^num_directions must be an integer >= 14"):
+            is_ellipsoid(body, num_directions=num, seed=0)
+    assert is_ellipsoid(body, num_directions=14, seed=0).accepted
 
 
 def test_recovered_body_reproduces_sections():
@@ -278,12 +276,12 @@ def test_support_fits_agree_with_lstsq():
         cube = Polytope.cube(n).rotated(random_rotation(n, seed=n)).translated(rng.uniform(-1.0, 1.0, n))
         ellipsoids = [random_ellipsoid(n, seed=80 + n), random_ellipsoid(n, seed=90 + n)]
         for body in ellipsoids + [cube]:
-            for num, seed in ((n * (n + 1), 1), (200, 0)):
+            for num, seed in ((n * (n + 1) + 2, 1), (200, 0)):
                 report = is_ellipsoid(body, num_directions=num, seed=seed)
                 e, S = _lstsq_support_fits(body, num, seed)
                 assert np.abs(report.e - e).max() <= 1e-12 * np.abs(e).max()
                 assert np.abs(report.S - S).max() <= 1e-12 * np.abs(S).max()
-        # n(n+1) directions interpolate any support data; 200 tell the cube
+        # the smallest direction count may still fit a polytope; 200 tell the cube
         assert [is_ellipsoid(b).accepted for b in ellipsoids + [cube]] == [True, True, False]
 
 
@@ -293,8 +291,6 @@ def test_seed_must_be_a_non_negative_integer(seed):
     report = is_ellipsoid(body, seed=0)
     calls = (
         lambda: is_ellipsoid(body, seed=seed),
-        lambda: estimate_e(body, seed=seed),
-        lambda: quadratic_fit(body, np.zeros(2), seed=seed),
         lambda: section_consistency_check(body, report, seed=seed),
     )
     for call in calls:
@@ -341,14 +337,6 @@ def test_consistency_check_rejects_bad_probe_count(num_probes):
         section_consistency_check(body, report, num_probes=num_probes, seed=0)
 
 
-@pytest.mark.parametrize("constant_tol", [float("nan"), -1e-8])
-def test_consistency_check_rejects_bad_constant_tol(constant_tol):
-    cube = Polytope.cube(3)
-    fake = is_ellipsoid(random_ellipsoid(3, seed=1), seed=0)
-    with pytest.raises(ValueError, match="constant_tol"):
-        section_consistency_check(cube, fake, num_probes=30, seed=0, constant_tol=constant_tol)
-
-
 def test_is_ellipsoid_builds_one_direction_set(monkeypatch):
     built = []
     real = detect_module.sample_directions
@@ -386,10 +374,9 @@ def test_is_ellipsoid_builds_one_direction_set(monkeypatch):
         assert built == [(n, 120, 2)]
         # one factorization per design: the directions and the quadratic one
         assert svds == [(120, n), (120, n * (n + 1) // 2)]
-        # the same key again builds nothing, whichever stage asks for it
+        # the same key again builds nothing
         assert is_ellipsoid(body, num_directions=120, seed=2).accepted
-        estimate_e(body, num_directions=120, seed=2)
-        quadratic_fit(body, np.zeros(n), num_directions=120, seed=2)
+        assert is_ellipsoid(body, tol=1e-4, num_directions=120, seed=2).accepted
         assert built == [(n, 120, 2)]
         assert len(svds) == 2
         assert cache.cache_info().misses - misses == 1
@@ -406,20 +393,23 @@ def test_planar_direction_set_is_rank_deficient(monkeypatch):
         dirs = np.column_stack([np.cos(angle), np.sin(angle), np.zeros((num_directions, n - 2))])
         return detect_module._support_fits(dirs)
 
+    def axial(n, num_directions, seed):
+        # +-e_i only: the center fit has full rank, every cross term vanishes
+        return detect_module._support_fits(np.resize(np.vstack([np.eye(n), -np.eye(n)]), (num_directions, n)))
+
     def no_rank(*args, **kwargs):
         raise AssertionError("matrix_rank called")
 
-    monkeypatch.setattr(detect_module, "_direction_set", planar)
     monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
     body = random_ellipsoid(3, seed=5)
-    with pytest.raises(ValueError, match="direction set is rank deficient$"):
-        estimate_e(body, num_directions=40, seed=0)
-    with pytest.raises(ValueError, match="rank deficient for the quadratic basis"):
-        quadratic_fit(body, np.zeros(3), num_directions=40, seed=0)
+    monkeypatch.setattr(detect_module, "_direction_set", planar)
     with pytest.raises(ValueError, match="direction set is rank deficient$"):
         is_ellipsoid(body, num_directions=40, seed=0)
-    center, shape = planar(3, 40, 0)
-    assert (center.rank, shape.rank) == (2, 3)
+    monkeypatch.setattr(detect_module, "_direction_set", axial)
+    with pytest.raises(ValueError, match="rank deficient for the quadratic basis"):
+        is_ellipsoid(body, num_directions=40, seed=0)
+    assert [fits.rank for fits in planar(3, 40, 0)] == [2, 3]
+    assert [fits.rank for fits in axial(3, 40, 0)] == [3, 3]
 
 
 def test_lstsq_is_never_called_by_a_detection_sweep_task(monkeypatch):
@@ -478,9 +468,8 @@ UNBOUNDED = (
 def test_unbounded_body_is_rejected_before_any_fit(body):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for fit in (is_ellipsoid, estimate_e, lambda b: quadratic_fit(b, np.zeros(3))):
-            with pytest.raises(InfiniteSupportError, match=f"the {body.kind} is unbounded"):
-                fit(body)
+        with pytest.raises(InfiniteSupportError, match=f"the {body.kind} is unbounded"):
+            is_ellipsoid(body)
     assert caught == []
 
 

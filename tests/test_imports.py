@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import tomoslice
@@ -104,6 +105,46 @@ def test_no_dead_methods():
             if name not in read and not any(name in vars(base) for base in bases):
                 dead[(path.name, f"{cls_name}.{name}")] = line
     assert dead == {}, dead
+
+
+# every (function, parameter) of tomoslice.__all__ that has a default; a new
+# setting has to appear here, and so in a diff, beside the caller that sets it
+DEFAULTED_PARAMETERS = {
+    ("detect_min_m", "tol"),
+    ("exponent_estimate", "window"),
+    ("is_ellipsoid", "num_directions"),
+    ("is_ellipsoid", "seed"),
+    ("is_ellipsoid", "tol"),
+    ("profile", "margin"),
+    ("profile", "num_points"),
+    ("profile", "window"),
+    ("quadric_check", "num_points"),
+    ("quadric_check", "tol"),
+    ("quadric_check", "window"),
+    ("random_ellipsoid", "seed"),
+    ("random_rotation", "seed"),
+    ("random_simplex", "seed"),
+    ("range_test", "seed"),
+    ("sample_directions", "antithetic"),
+    ("sample_directions", "seed"),
+    ("section_consistency_check", "num_probes"),
+    ("section_consistency_check", "seed"),
+    ("section_volume_mc", "box"),
+    ("section_volume_mc", "samples"),
+    ("section_volume_mc", "seed"),
+    ("section_volume_mc", "slab_halfwidth"),
+}
+
+
+def test_public_functions_have_only_the_listed_defaulted_parameters():
+    found = {
+        (name, param.name)
+        for name in tomoslice.__all__
+        if inspect.isfunction(getattr(tomoslice, name))
+        for param in inspect.signature(getattr(tomoslice, name)).parameters.values()
+        if param.default is not inspect.Parameter.empty
+    }
+    assert found == DEFAULTED_PARAMETERS
 
 
 def test_only_bodies_knows_the_direction_class():

@@ -254,34 +254,15 @@ def test_report_records_the_order_used():
     ell = random_ellipsoid(3, seed=4)
     assert [range_test(cube, k, 40).quad_order for k in (0, 1, 2)] == [2, 2, 3]
     assert [range_test(ell, k, 40).quad_order for k in (0, 1, 2)] == [1, 1, 2]
-    explicit = range_test(cube, 2, 40, quad_order=5)
-    assert explicit.quad_order == 5
-    assert np.allclose(explicit.moments, range_test(cube, 2, 40).moments, rtol=1e-13, atol=0)
 
 
-def test_explicit_quad_order_one_reproduces_the_default():
-    ell = random_ellipsoid(3, seed=4)
-    for k in (0, 1):
-        default = range_test(ell, k, 40)
-        explicit = range_test(ell, k, 40, quad_order=1)
-        assert default.quad_order == explicit.quad_order == 1
-        assert np.array_equal(explicit.moments, default.moments)
-        assert np.array_equal(explicit.fit_coefficients, default.fit_coefficients)
-    for bad in (0, 1.5):
-        with pytest.raises(ValueError, match="quad_order must be an integer >= 1"):
-            moment(ell, E3, 0, quad_order=bad)
-
-
-@pytest.mark.parametrize(
-    "name, k, quad_order",
-    [("quad_order", 2, bad) for bad in (3.0, 2.5, True, -1)] + [("k", bad, None) for bad in (1.5, True, -1)],
-)
-def test_moment_and_range_test_take_only_integer_orders(name, k, quad_order):
+@pytest.mark.parametrize("k", [1.5, True, -1])
+def test_moment_and_range_test_take_only_integer_orders(k):
     cube = Polytope.cube(3)
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
-        moment(cube, E3, k, quad_order=quad_order)
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
-        range_test(cube, k, 40, quad_order=quad_order)
+    with pytest.raises(ValueError, match="^k must be an integer >= "):
+        moment(cube, E3, k)
+    with pytest.raises(ValueError, match="^k must be an integer >= "):
+        range_test(cube, k, 40)
 
 
 # ---------------------------------------------------------------- direction stacks

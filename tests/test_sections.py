@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.spatial import ConvexHull
 from hypothesis import strategies as st
 
 import tomoslice.bodies as bodies_module
@@ -221,6 +222,76 @@ def test_four_cube_facet_slices_and_continuity():
     assert at == pytest.approx(8.0 * math.sqrt(2.0), rel=1e-12)
     assert lo == pytest.approx(at, rel=1e-8)
     assert hi == pytest.approx(at, rel=1e-8)
+
+
+# exact oracles that share no code with the section engines
+
+
+def _ball_volume(d):
+    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+
+
+def _ellipsoid_section_oracle(body, xi, t):
+    """Volume of the (n-1)-ellipsoid cut by {x.xi = t}: restrict the form to
+    x = t xi + U^T y for an orthonormal basis U of xi-perp and complete the
+    square, which leaves radius^2 = 1 - d^T M d + b^T B^-1 b, d = t xi - c."""
+    U = sections_module._householder_frame(xi)[1:]
+    M = body.shape
+    B = U @ M @ U.T
+    d = t * xi - body.center
+    b = U @ M @ d
+    r2 = 1.0 - d @ M @ d + b @ np.linalg.solve(B, b)
+    k = xi.size - 1
+    return _ball_volume(k) * max(r2, 0.0) ** (k / 2) / math.sqrt(np.linalg.det(B))
+
+
+def _polytope_section_oracle(body, xi, t):
+    """Volume of the convex hull of the vertices on {x.xi = t} and the points
+    where edges of the vertex set cross it, in a basis of xi-perp."""
+    V = body.vertices
+    h = V @ xi - t
+    i, j = np.triu_indices(len(V), 1)
+    cross = h[i] * h[j] < 0.0
+    i, j = i[cross], j[cross]
+    frac = (h[i] / (h[i] - h[j]))[:, None]
+    points = np.vstack([V[h == 0.0], V[i] + frac * (V[j] - V[i])])
+    Y = points @ sections_module._householder_frame(xi)[1:].T
+    if Y.shape[1] == 1:
+        return float(Y.max() - Y.min())
+    return ConvexHull(Y).volume
+
+
+def _oracle_error(body, xi, oracle):
+    """max |engine - oracle| over a profile's grid, over the profile's max."""
+    prof = profile(body, xi, num_points=40)
+    want = np.array([oracle(body, xi, t) for t in prof.grid])
+    return float(np.abs(prof.values - want).max() / prof.values.max())
+
+
+def test_ellipsoid_sections_match_the_restricted_form():
+    rng = np.random.default_rng(41)
+    for n in range(2, 7):
+        for seed in range(12):
+            g = rng.standard_normal(n)
+            xi = g / np.linalg.norm(g)
+            assert _oracle_error(random_ellipsoid(n, seed=100 * n + seed), xi, _ellipsoid_section_oracle) <= 1e-12
+
+
+def test_polytope_sections_match_the_hull_of_edge_crossings():
+    rng = np.random.default_rng(42)
+    for n in range(2, 6):
+        for seed in range(4):
+            cube = Polytope.cube(n).rotated(random_rotation(n, seed=300 * n + seed))
+            G = rng.standard_normal((n + 8, n))
+            on_sphere = G / np.linalg.norm(G, axis=1, keepdims=True)
+            for body in (
+                random_simplex(n, seed=200 * n + seed),
+                cube.scaled(rng.uniform(0.5, 2.0)).translated(rng.uniform(-0.5, 0.5, n)),
+                Polytope(on_sphere * rng.uniform(0.5, 2.0, n)),
+            ):
+                g = rng.standard_normal(n)
+                xi = g / np.linalg.norm(g)
+                assert _oracle_error(body, xi, _polytope_section_oracle) <= 1e-12
 
 
 # Monte Carlo agreement
