@@ -1,14 +1,21 @@
-"""Digest a fixed matrix of in-process CLI runs, to compare report bytes.
+"""Digest a fixed matrix of in-process CLI runs and the detection sweep, to
+compare report bytes.
 
 Writes the scripts/make_bodies.py catalog into a temporary directory and
 runs every subcommand on every body there, in JSON and in CSV, through
 ``tomoslice.cli.main`` in this process.  Each run prints one line: the argv,
 the exit code and the sha256 of its stdout and of its stderr.  Runs that end
 in an error (a polytope given to quadric-check, an unbounded body given to
-detect) are part of the matrix, so error messages are compared too.  The
-last two lines are the sha256 of all run lines and the BLAS core OpenBLAS
-picked at run time.  Reports do not depend on the temporary directory: the
-runs read the body files by name from inside it.
+detect) are part of the matrix, so error messages are compared too.  Then
+every body of the scripts/run_detection_sweep.py population at the same seed
+goes through its ``sweep_one``, and the body's entry, as JSON with sorted
+keys, is one more run line under the argv ``sweep <label>`` (exit 0, empty
+stderr); ``--bodies`` restricts the CLI matrix only.  The sweep records
+values no CLI report prints: the section replay error and the residual of
+each direction's winning fit.  The last two lines are the sha256 of all
+run lines and the BLAS core OpenBLAS picked at run time.  Reports do not
+depend on the temporary directory: the runs read the body files by name
+from inside it.
 
 Two source trees whose total digests agree on the same BLAS core give the
 same stdout, stderr and exit code on every run.  Across cores, floats may
@@ -45,6 +52,7 @@ import tempfile
 import numpy as np
 
 from make_bodies import build_catalog
+from run_detection_sweep import SweepConfig, population, sweep_one
 from tomoslice import cli
 from tomoslice.bodies import save_body
 
@@ -108,7 +116,8 @@ def blas_core():
 
 def run_records(seed, names=None):
     """Every run of the matrix as a dict of argv, exit code, stdout and
-    stderr, on the catalog of ``seed`` (all bodies, or ``names``)."""
+    stderr, on the catalog of ``seed`` (all bodies, or ``names``), then the
+    detection sweep of ``seed`` (``sweep_records``)."""
     catalog = build_catalog(seed)
     names = list(catalog) if names is None else names
     dims = {name: catalog[name].n for name in names}
@@ -124,7 +133,23 @@ def run_records(seed, names=None):
                 records.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
         finally:
             os.chdir(here)
-    return records
+    return records + sweep_records(seed)
+
+
+def sweep_records(seed):
+    """One record per body of the default detection sweep at ``seed``: argv
+    ``sweep <label>``, exit 0, the body's entry as JSON (sorted keys, indent
+    2) on stdout, and an empty stderr."""
+    config = SweepConfig(seed=seed)
+    return [
+        {
+            "argv": ["sweep", label],
+            "exit": 0,
+            "stdout": json.dumps(sweep_one(label, body, config), indent=2, sort_keys=True),
+            "stderr": "",
+        }
+        for label, body in population(config)
+    ]
 
 
 def digest_lines(records):
@@ -253,7 +278,9 @@ def compare_dumps(path_a, path_b):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=0, help="catalog seed, as in make_bodies.py")
-    ap.add_argument("--bodies", default=None, help="comma-separated catalog file names (default: all)")
+    ap.add_argument(
+        "--bodies", default=None, help="comma-separated catalog file names for the CLI matrix (default: all)"
+    )
     ap.add_argument("--dump", default=None, metavar="PATH", help="also write every run's output to PATH")
     ap.add_argument("--compare", nargs=2, default=None, metavar=("A", "B"), help="compare two dumps; run nothing")
     args = ap.parse_args(argv)

@@ -30,6 +30,7 @@ from .bodies import (
     InfiniteSupportError,
     Polytope,
     QuadricDomain,
+    _norm,
     _one_direction,
     _require_int,
     _require_tol,
@@ -232,7 +233,7 @@ def power_fits(prof, plan):
         if num < 2 * (degree + 1):
             raise ValueError(f"profile has {num} points; degree {degree} needs at least {2 * (degree + 1)}")
         y = prof.values**m
-        y_norm = float(np.linalg.norm(y))
+        y_norm = _norm(y)
         if y_norm == 0.0:
             raise ValueError("profile is identically zero on its grid")
         fit = factor(degree)
@@ -246,7 +247,7 @@ def power_fits(prof, plan):
             coefficients=coef,
             t_lo=t_lo,
             t_hi=t_hi,
-            relative_residual=float(np.linalg.norm(fit.design @ coef - y)) / y_norm,
+            relative_residual=_norm(fit.design @ coef - y) / y_norm,
             effective_degree=eff,
             degree_bound_ok=eff <= m * (prof.n - 1),
             grid=prof.grid,
@@ -349,7 +350,7 @@ def root_structure(report, h_plus, h_minus):
     if gg == 0.0:
         raise ValueError("degenerate chord data: factorization target vanishes on the grid")
     scale = float(y @ g) / gg
-    mismatch = float(np.linalg.norm(y - scale * g)) / float(np.linalg.norm(y))
+    mismatch = _norm(y - scale * g) / _norm(y)
     mask = y > 0
     roots = []
     if np.count_nonzero(mask) >= 3:

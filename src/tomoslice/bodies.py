@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -123,9 +122,12 @@ def _normalized(v):
 
 
 def _require_int(name, value, least):
-    """A ValueError naming ``name`` unless value is an integer >= least; a
-    bool or an integral float such as 3.0 is not an integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    """A ValueError naming ``name`` unless value is an integer >= least: a
+    Python int or a numpy integer.  A bool, Python's or numpy's, or an
+    integral float such as 3.0 is not an integer.  The check is a plain
+    isinstance, not an abstract-class one, as it runs on every count of
+    every public call."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -178,6 +180,13 @@ def _row_products(A, X):
     rows differently.  X is taken in C order (a copy only for another
     layout), as matmul's kernel, and so its rounding, depends on the layout."""
     return np.matmul(A, np.ascontiguousarray(X)[:, :, None])[..., 0]
+
+
+def _norm(x):
+    """The Euclidean norm of a contiguous 1-d float array, as a float: the
+    sqrt(x.x) that np.linalg.norm(x) computes for such an array, bit for
+    bit, without its argument handling."""
+    return math.sqrt(x.dot(x))
 
 
 def _rotation(R, n):

@@ -30,6 +30,7 @@ from .bodies import (
     Polytope,
     QuadricDomain,
     _direction_rows,
+    _norm,
     _require_int,
     sample_directions,
 )
@@ -183,8 +184,8 @@ def range_test(body, k, num_directions, seed=0):
         raise ValueError("direction set is rank deficient for this monomial basis")
     coef, *_ = np.linalg.lstsq(design, moments, rcond=None)
     resid = design @ coef - moments
-    absolute = float(np.linalg.norm(resid))
-    scale = float(np.linalg.norm(moments))
+    absolute = _norm(resid)
+    scale = _norm(moments)
     if scale < 1e-12 * math.sqrt(num_directions):
         # all moments vanish at double precision (centered body, odd k);
         # the zero polynomial fits and a ratio would be meaningless

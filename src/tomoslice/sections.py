@@ -56,9 +56,9 @@ class SectionProfile:
     xi : ndarray
         The unit direction, shape (n,), held as a read-only copy.
     grid : ndarray
-        Strictly increasing offsets t, inside the chord interval.
+        Strictly increasing finite offsets t, inside the chord interval.
     values : ndarray
-        A(xi, t) on the grid, nonnegative.
+        A(xi, t) on the grid, finite and nonnegative.
     n : int
         Ambient dimension.
     """
@@ -82,13 +82,18 @@ class SectionProfile:
         return prof
 
     def _check_samples(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
+        grid = self.grid = np.asarray(self.grid, dtype=float)
+        values = self.values = np.asarray(self.values, dtype=float)
+        if grid.ndim != 1 or grid.shape != values.shape:
             raise ValueError("grid and values must be 1-d arrays of equal length")
-        if np.any(np.diff(self.grid) <= 0):
+        # a NaN passes both order tests below, so finiteness comes first
+        if not np.isfinite(grid).all():
+            raise ValueError("grid must be finite")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        if (grid[1:] <= grid[:-1]).any():
             raise ValueError("grid must be strictly increasing")
-        if np.any(self.values < 0):
+        if (values < 0).any():
             raise ValueError("section volumes cannot be negative")
 
     def __len__(self):

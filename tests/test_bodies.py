@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import NonlinearConstraint, minimize
 
+import tomoslice.bodies as bodies_module
 from tomoslice.algfit import (
     exponent_estimate,
     normalized_section_constant,
@@ -459,6 +460,41 @@ _BALL = Ellipsoid.from_axes([1.0, 1.0, 1.0])
 def test_counts_must_be_integers(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
         call()
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_require_int_takes_python_and_numpy_integers(value):
+    bodies_module._require_int("count", value, 3)
+
+
+@pytest.mark.parametrize(
+    "value, least",
+    [
+        (True, 0),
+        (np.bool_(True), 0),
+        (3.0, 1),
+        (np.float64(3.0), 1),
+        ("3", 1),
+        (None, 1),
+        (0, 1),
+        (np.int64(-1), 0),
+        (np.uint8(2), 3),
+    ],
+)
+def test_require_int_rejects_non_integers_and_small_values(value, least):
+    with pytest.raises(ValueError) as exc:
+        bodies_module._require_int("count", value, least)
+    assert str(exc.value) == f"count must be an integer >= {least}, got {value!r}"
+
+
+def test_norm_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(29)
+    cases = [np.zeros(1), np.zeros(7)]
+    cases += [rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0) for size in range(1, 201)]
+    for x in cases:
+        got = bodies_module._norm(x)
+        assert type(got) is float
+        assert got.hex() == float(np.linalg.norm(x)).hex(), x.size
 
 
 def test_sample_directions_antithetic_pairs():

@@ -484,9 +484,14 @@ def test_report_digests_repeat_on_a_two_body_subset(monkeypatch, capsys):
         outputs.append(captured.out.splitlines())
     first, second = outputs
     assert first == second
-    # 23 runs per body and format, then the total digest and the BLAS core
+    # 23 runs per body and format, one line per body of the detection sweep
+    # (8 ellipsoids, cube, square, simplex), then the total digest and the
+    # BLAS core
     runs = first[:-2]
-    assert len(runs) == 2 * 2 * 23
+    assert len(runs) == 2 * 2 * 23 + 11
+    sweep = [line.split(" | ")[0] for line in runs[-11:]]
+    assert all(label.startswith("sweep ellipsoid_") for label in sweep[:8])
+    assert sweep[8:] == ["sweep cube_3d", "sweep square_2d", "sweep simplex_3d"]
     assert first[-2].startswith("total ") and first[-2].endswith(f"over {len(runs)} runs")
     assert first[-1].startswith("blas core ")
     codes = {line.split(" | ")[1] for line in runs}
@@ -537,6 +542,16 @@ def test_report_digests_dump_and_compare(monkeypatch, capsys, tmp_path):
 
     code, out = compare(move_csv_residual)
     assert code == 0 and any(line.startswith("algfit:residual | 1 |") for line in out)
+
+    # a sweep entry is compared like a JSON report of the command "sweep"
+    def move_replay(runs):
+        run = next(r for r in runs if r["argv"] == ["sweep", "ellipsoid_2d_0"])
+        entry = json.loads(run["stdout"])
+        entry["section_replay_error"] *= 2.0
+        run["stdout"] = json.dumps(entry)
+
+    code, out = compare(move_replay)
+    assert code == 0 and any(line.startswith("sweep:section_replay_error | 1 |") for line in out)
 
     # an exit code, an integer or a string that differs fails the comparison
     def change_exit(runs):

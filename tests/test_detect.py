@@ -11,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tomoslice.bodies as bodies_module
 import tomoslice.detect as detect_module
+import tomoslice.radon as radon_module
+import tomoslice.sections as sections_module
 from tomoslice import cli
 from tomoslice.bodies import (
     Direction,
@@ -255,6 +258,50 @@ def test_cached_samples_are_read_only_and_equal_a_fresh_build():
             # the public sampler still hands out a fresh, writable array
             fresh[0] = 0.0
             assert detect_module._direction_set(n, count, seed)[0].design.tobytes() == center.design.tobytes()
+
+
+def test_cached_samples_pass_the_direction_check():
+    """``is_ellipsoid`` and the replay take their chords without the
+    direction check (``_chord_rows``); that is sound because every cached
+    sample set passes it."""
+    for n in range(2, 7):
+        for count in (n * (n + 1) + 2, 57, 200):
+            for seed in (0, 3, 11):
+                dirs = detect_module._direction_set(n, count, seed)[0].design
+                assert bodies_module._direction_rows(dirs, n)[0].tobytes() == dirs.tobytes()
+        for count in (1, 25, 50):
+            for seed in (0, 3, 11):
+                probes = detect_module._probe_set(n, count, seed)[0]
+                assert bodies_module._direction_rows(probes, n)[0].tobytes() == probes.tobytes()
+
+
+def test_detection_checks_only_the_callers_directions(monkeypatch):
+    """``bodies._direction_rows`` runs 0 times in ``is_ellipsoid``, twice in
+    the replay (its two engine calls) and twice in ``profile`` (its own
+    check and the engine's)."""
+    reads = []
+    real_rows = bodies_module._direction_rows
+
+    def counting_rows(xi, n):
+        reads.append(np.shape(xi))
+        return real_rows(xi, n)
+
+    for module in (bodies_module, sections_module, radon_module):
+        monkeypatch.setattr(module, "_direction_rows", counting_rows)
+    for body in [random_ellipsoid(n, seed=40 + n) for n in (2, 3, 4)] + [Polytope.cube(3)]:
+        n = body.n
+        reads.clear()
+        report = is_ellipsoid(body, seed=1)
+        assert reads == []
+        if report.accepted:
+            section_consistency_check(body, report, num_probes=25, seed=1)
+            assert reads == [(25, n), (25, n)]
+        reads.clear()
+        xi = np.arange(1.0, n + 1.0)
+        profile(body, xi / np.linalg.norm(xi), num_points=96, margin=0.0)
+        assert reads == [(n,), (n,)]
+    # the cube, last, took the rejected branch
+    assert report.verdict == "reject"
 
 
 def _lstsq_support_fits(body, num_directions, seed):

@@ -391,6 +391,30 @@ def test_profile_ellipsoid_grid_and_values():
     )
 
 
+def test_section_profile_rejects_non_finite_samples():
+    ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
+    grid = lobatto_grid(-0.9, 0.9, 16)
+    values = section_volume(ball, E3, grid)
+    # infinite ends keep the grid strictly increasing; a NaN passes both
+    # order tests, so only the finiteness check catches it
+    for i, bad in ((5, np.nan), (0, -np.inf), (15, np.inf)):
+        g = grid.copy()
+        g[i] = bad
+        with pytest.raises(ValueError, match="^grid must be finite$"):
+            SectionProfile(E3, g, values, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        v = values.copy()
+        v[5] = bad
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            SectionProfile(E3, grid, v, 3)
+    # one NaN in each: the grid is named first
+    g, v = grid.copy(), values.copy()
+    g[3], v[7] = np.nan, np.nan
+    with pytest.raises(ValueError, match="^grid must be finite$"):
+        SectionProfile(E3, g, v, 3)
+    assert SectionProfile(E3, grid, values, 3).values.tobytes() == values.tobytes()
+
+
 def test_profile_margin_shrinks_window():
     ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
     prof = profile(ball, E3, num_points=16, margin=0.1)
