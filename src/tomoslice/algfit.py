@@ -225,7 +225,7 @@ def power_fits(prof, plan):
         _require_int("degree", degree, 0)
     t_lo, t_hi = float(prof.grid[0]), float(prof.grid[-1])
     num = len(prof)
-    if num > 1 and prof.grid.tobytes() == lobatto_grid(t_lo, t_hi, num).tobytes():
+    if prof.grid.tobytes() == lobatto_grid(t_lo, t_hi, num).tobytes():
         factor = functools.partial(_lobatto_fit, num)
     else:
         factor = functools.partial(_chebyshev_fit, (2.0 * prof.grid - (t_lo + t_hi)) / (t_hi - t_lo))
@@ -323,12 +323,13 @@ def root_structure(report, h_plus, h_minus):
 
     Fits the single scalar c in A^m ~ c*(h_plus - t)^{M/2}*(h_minus + t)^{M/2}
     over the report's own samples and reports the relative mismatch, which
-    must stay below CONFORM_TOL for the fit to conform.  Root
-    locations are recovered from the flattened samples (A^m)^{2/M}, which for
-    a conforming body is exactly the quadratic (h_plus - t)(h_minus + t) up to
-    scale; its simple roots are numerically stable where the multiple roots
-    of the raw polynomial are not.  The report is attached to ``report`` as a
-    side effect and also returned.
+    must stay below CONFORM_TOL for the fit to conform.  A conforming fit's
+    roots are recovered from the flattened samples (A^m)^{2/M}, exactly the
+    quadratic (h_plus - t)(h_minus + t) up to scale, fitted in Chebyshev form
+    on the masked grid rescaled to [-1, 1]; its simple roots are stable where
+    the multiple roots of the raw polynomial are not.  A deviating fit's
+    flattened samples need not be quadratic, so it reports no roots.  The
+    report is attached to ``report`` as a side effect and also returned.
     """
     M = report.m * (report.n - 1)
     if M % 2 == 1:
@@ -351,16 +352,18 @@ def root_structure(report, h_plus, h_minus):
         raise ValueError("degenerate chord data: factorization target vanishes on the grid")
     scale = float(y @ g) / gg
     mismatch = _norm(y - scale * g) / _norm(y)
+    conforms = mismatch < CONFORM_TOL
     mask = y > 0
     roots = []
-    if np.count_nonzero(mask) >= 3:
-        flat = y[mask] ** (1.0 / half)
-        quad = C.Chebyshev.fit(t[mask], flat, 2)
-        rts = np.sort(np.real(quad.roots()))
+    if conforms and np.count_nonzero(mask) >= 3:
+        tm = t[mask]
+        lo, hi = tm[0], tm[-1]
+        coef = _chebyshev_fit((2.0 * tm - (lo + hi)) / (hi - lo), 2).pinv @ y[mask] ** (1.0 / half)
+        rts = np.sort(np.real(C.chebroots(coef)))
         if rts.size == 2:
-            roots = [(float(rts[0]), half), (float(rts[1]), half)]
+            roots = [(float(0.5 * (lo + hi + (hi - lo) * r)), half) for r in rts]
     rr = RootStructureReport(
-        verdict="conforms" if mismatch < CONFORM_TOL else "deviates",
+        verdict="conforms" if conforms else "deviates",
         scale=scale,
         mismatch=mismatch,
         roots=roots,
@@ -457,7 +460,7 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2)):
     values = section_volume(body, d, t0 - depths)
     if np.any(values < 1e-300):
         raise ValueError("section values underflow inside the regression window")
-    slope, intercept = np.polyfit(np.log(depths), np.log(values), 1)
+    slope, intercept = _least_squares(np.vander(np.log(depths), 2)).pinv @ np.log(values)
     return AsymptoticReport(
         xi=d,
         t0=float(t0),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .bodies import (
     sample_directions,
 )
 from .algfit import _least_squares, normalized_constant_from_value
+from .radon import homogeneous_exponents, monomial_design_matrix
 from .sections import section_volume
 
 __all__ = [
@@ -71,22 +73,10 @@ def _direction_set(n, num_directions, seed):
 def _support_fits(dirs):
     """The factored least-squares designs of both support fits on the
     direction set dirs: the center fit's (dirs itself) and the quadratic
-    form's (``_shape_design``), as a pair of read-only ``_least_squares``."""
-    return _least_squares(dirs), _least_squares(_shape_design(dirs))
-
-
-def _shape_index(n):
-    """The (i, j) entry of the quadratic form behind each design column."""
-    return [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _shape_design(dirs):
-    """The least-squares design of xi^T S xi over the rows xi of dirs: the
-    columns xi_i^2 for i < n, then 2 xi_i xi_j for i < j in row-major
-    order, as listed by ``_shape_index``."""
-    return np.column_stack(
-        [dirs[:, i] ** 2 if i == j else 2.0 * dirs[:, i] * dirs[:, j] for i, j in _shape_index(dirs.shape[1])]
-    )
+    form's (the degree-2 monomials xi_i xi_j, i <= j, in graded-lex order),
+    as a pair of read-only ``_least_squares``."""
+    quadratic = monomial_design_matrix(dirs, homogeneous_exponents(dirs.shape[1], 2))
+    return _least_squares(dirs), _least_squares(quadratic)
 
 
 @functools.lru_cache(maxsize=_CACHED_KEYS)
@@ -144,9 +134,11 @@ def _fit_shape(shape, H, n):
         raise ValueError("direction set is rank deficient for the quadratic basis")
     y = H**2
     coef = shape.pinv @ y
+    # graded-lex columns: xi_i xi_j for i <= j, row-major; an off-diagonal
+    # coefficient is S_ij + S_ji, halved exactly
     S = np.zeros((n, n))
-    for (i, j), val in zip(_shape_index(n), coef):
-        S[i, j] = S[j, i] = val
+    for (i, j), c in zip(combinations_with_replacement(range(n), 2), coef):
+        S[i, j] = S[j, i] = c if i == j else 0.5 * c
     rel = _norm(design @ coef - y) / max(_norm(y), _RESIDUAL_GUARD)
     return S, rel
 

@@ -34,6 +34,7 @@ from .bodies import (
     _require_int,
     sample_directions,
 )
+from .algfit import _least_squares
 from .sections import section_volume
 
 __all__ = [
@@ -168,10 +169,10 @@ def range_test(body, k, num_directions, seed=0):
 
     The directions come from the Fibonacci lattice for n = 3 and from a
     seeded uniform sample otherwise.  Requires at least twice as many
-    directions as degree-k monomials; raises if the design matrix is rank
-    deficient.  The moments come from one :func:`moment` call on the
-    direction stack, which is one section engine call.  The report records
-    the exact quadrature order :func:`moment` used.
+    directions as degree-k monomials.  One SVD (``algfit._least_squares``)
+    gives the design's rank, which must be full, and the fit.  The moments
+    come from one section engine call (:func:`moment` on the direction
+    stack).  The report records the exact quadrature order it used.
     """
     _require_int("k", k, 0)
     n = body.n
@@ -179,11 +180,11 @@ def range_test(body, k, num_directions, seed=0):
     _require_int("num_directions", num_directions, 2 * len(exponents))
     dirs = sample_directions(n, num_directions, seed=seed)
     moments = moment(body, dirs, k)
-    design = monomial_design_matrix(dirs, exponents)
-    if np.linalg.matrix_rank(design) < len(exponents):
+    fit = _least_squares(monomial_design_matrix(dirs, exponents))
+    if fit.rank < len(exponents):
         raise ValueError("direction set is rank deficient for this monomial basis")
-    coef, *_ = np.linalg.lstsq(design, moments, rcond=None)
-    resid = design @ coef - moments
+    coef = fit.pinv @ moments
+    resid = fit.design @ coef - moments
     absolute = _norm(resid)
     scale = _norm(moments)
     if scale < 1e-12 * math.sqrt(num_directions):

@@ -86,6 +86,8 @@ class SectionProfile:
         values = self.values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape:
             raise ValueError("grid and values must be 1-d arrays of equal length")
+        if grid.size < 2:
+            raise ValueError("grid must have at least two points")
         # a NaN passes both order tests below, so finiteness comes first
         if not np.isfinite(grid).all():
             raise ValueError("grid must be finite")

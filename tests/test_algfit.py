@@ -294,7 +294,10 @@ def test_each_lobatto_factorization_is_built_once_per_key(monkeypatch, tmp_path)
     report = quadric_check(par, Direction.from_vector([0.0, 0.0, 1.0]))
     assert report["verdict"] == "conforms"
     assert cache.cache_info().misses == max(r["min_degree"] for r in report["results"]) + 1
-    assert svd.calls == 5 + 6 + cache.cache_info().misses
+    # one more SVD beyond the cached factorizations: the ellipsoid's CLI run
+    # conforms, and root_structure factors its flattened-sample quadratic on
+    # the masked grid (a deviating fit, like the cube's, recovers no roots)
+    assert svd.calls == 5 + 1 + 6 + cache.cache_info().misses
     for num, degree in ((64, 2), (96, 12)):
         fit = cache(num, degree)
         assert fit.rank == degree + 1
@@ -372,6 +375,12 @@ def test_root_structure_ellipsoid_conforms():
         assert roots[-1] == pytest.approx(h_plus, abs=1e-8 * width)
         mult = {r: mu for r, mu in rr.roots}
         assert all(mu == m * (n - 1) // 2 for mu in mult.values())
+        # numpy's Chebyshev.fit of the same flattened samples, the reference
+        # solver, gives the same roots to roundoff
+        mask = rep.power_samples > 0
+        flat = rep.power_samples[mask] ** (2.0 / (m * (n - 1)))
+        want = np.sort(np.real(chebyshev.Chebyshev.fit(rep.grid[mask], flat, 2).roots()))
+        assert np.abs(np.array(roots) - want).max() <= 1e-12 * width
 
 
 def test_root_structure_odd_total_multiplicity_infeasible():
@@ -384,13 +393,19 @@ def test_root_structure_odd_total_multiplicity_infeasible():
 
 
 def test_root_structure_flags_cube():
+    """A deviating fit reports no roots.  Along a facet normal the cube's A
+    is constant, so a quadratic fitted to its flattened samples has a
+    leading coefficient of roundoff, whose roots would be noise."""
     cube = Polytope.cube(3)
-    d = Direction.from_vector([1.0, 1.0, 1.0])
-    prof = profile(cube, d, num_points=96, margin=0.0)
-    rep = fit_power_polynomial(prof, 1, 2)
-    rr = root_structure(rep, cube.support(d.components), cube.support(-d.components))
-    assert rr.verdict == "deviates"
-    assert rr.mismatch > 1e-3
+    for xi in ([1.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]):
+        d = Direction.from_vector(xi)
+        for margin in (0.0, 0.02):
+            prof = profile(cube, d, num_points=96, margin=margin)
+            rep = fit_power_polynomial(prof, 1, 2)
+            rr = root_structure(rep, cube.support(d.components), cube.support(-d.components))
+            assert rr.verdict == "deviates"
+            assert rr.mismatch > 1e-3
+            assert rr.roots == []
 
 
 def test_normalized_constant_direction_free():
@@ -606,6 +621,24 @@ def test_exponent_rotation_stability():
     a = exponent_estimate(body, d).estimated_exponent
     b = exponent_estimate(body.rotated(Q), Direction.from_vector(Q @ d.components)).estimated_exponent
     assert a == pytest.approx(b, abs=5e-3)
+
+
+def test_exponent_estimate_agrees_with_polyfit():
+    """The [log delta, 1] regression agrees with np.polyfit, the reference
+    solver, to roundoff."""
+    rng = np.random.default_rng(32)
+    bodies = [random_ellipsoid(n, seed=600 + n) for n in (2, 3, 4, 5)]
+    bodies.append(QuadricDomain("paraboloid", np.array([1.0, 2.0])))
+    for body in bodies:
+        for _ in range(3):
+            g = rng.standard_normal(body.n)
+            if isinstance(body, QuadricDomain):
+                g[-1] = -abs(g[-1]) - 1.0
+            for window in ((1e-4, 1e-2), (1e-4, 1e-3)):
+                rep = exponent_estimate(body, g / np.linalg.norm(g), window=window)
+                slope, intercept = np.polyfit(np.log(rep.depths), np.log(rep.values), 1)
+                assert abs(rep.estimated_exponent - slope) <= 1e-12 * abs(slope)
+                assert abs(rep.estimated_constant - math.exp(intercept)) <= 1e-12 * math.exp(intercept)
 
 
 def test_exponent_estimate_unbounded_body():

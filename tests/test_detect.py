@@ -243,7 +243,8 @@ def test_cached_samples_are_read_only_and_equal_a_fresh_build():
             fresh = sample_directions(n, count, seed=seed, antithetic=True)
             fresh_center, fresh_shape = detect_module._support_fits(fresh.copy())
             assert center.design.tobytes() == fresh.tobytes()
-            assert shape.design.tobytes() == detect_module._shape_design(fresh).tobytes()
+            quadratic = radon_module.monomial_design_matrix(fresh, radon_module.homogeneous_exponents(n, 2))
+            assert shape.design.tobytes() == quadratic.tobytes()
             assert center.pinv.tobytes() == fresh_center.pinv.tobytes()
             assert shape.pinv.tobytes() == fresh_shape.pinv.tobytes()
             assert (center.rank, shape.rank) == (n, n * (n + 1) // 2)
@@ -305,14 +306,20 @@ def test_detection_checks_only_the_callers_directions(monkeypatch):
 
 
 def _lstsq_support_fits(body, num_directions, seed):
-    """e and S of the two support stages, each solved by np.linalg.lstsq."""
-    dirs = sample_directions(body.n, num_directions, seed=seed, antithetic=True)
+    """e and S of the two support stages, each solved by np.linalg.lstsq.
+
+    The quadratic stage has its own design, independent of the package's:
+    the columns xi_i^2, then 2 xi_i xi_j for i < j, so each coefficient is
+    an entry of S as it stands."""
+    n = body.n
+    dirs = sample_directions(n, num_directions, seed=seed, antithetic=True)
     lo, hi = chord_interval(body, dirs)
     e = np.linalg.lstsq(dirs, hi + lo, rcond=None)[0]
-    design = detect_module._shape_design(dirs)
+    pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    design = np.column_stack([dirs[:, i] ** 2 if i == j else 2.0 * dirs[:, i] * dirs[:, j] for i, j in pairs])
     coef = np.linalg.lstsq(design, (hi - 0.5 * dirs @ e) ** 2, rcond=None)[0]
-    S = np.zeros((body.n, body.n))
-    for (i, j), val in zip(detect_module._shape_index(body.n), coef):
+    S = np.zeros((n, n))
+    for (i, j), val in zip(pairs, coef):
         S[i, j] = S[j, i] = val
     return e, S
 

@@ -178,3 +178,26 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append(name)
     assert missing == []
+
+
+def test_every_fit_solves_through_one_least_squares_rule():
+    """Every least-squares fit in the package is factored by
+    ``algfit._least_squares``, the one place that takes an SVD and sets the
+    rank cutoff.  No module reads numpy's own solvers (``lstsq``,
+    ``polyfit``) or calls a ``.fit`` method; ``matrix_rank`` appears only in
+    ``bodies``, where it checks the rank of a vertex set and fits nothing.
+    Docstrings may still name them: only code is read."""
+    solvers = {"lstsq", "polyfit", "matrix_rank", "svd"}
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _reads(tree) & solvers
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                # an import under another name reads as that name
+                names |= {alias.name for alias in node.names} & solvers
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "fit":
+                names.add(".fit(")
+        if names:
+            found[path.name] = names
+    assert found == {"algfit.py": {"svd"}, "bodies.py": {"matrix_rank"}}

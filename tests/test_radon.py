@@ -305,6 +305,45 @@ def test_range_test_makes_one_section_call(monkeypatch):
             assert len(calls) == 1 and calls[0][0] == 24
 
 
+def test_range_test_agrees_with_lstsq_in_one_svd(monkeypatch):
+    """range_test factors its monomial design once: one SVD gives both the
+    rank check and the fit.  np.linalg.lstsq, the reference solver, gives
+    the same coefficients and residual to roundoff."""
+    real_svd = np.linalg.svd
+    svds = []
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a second solver was called")
+
+    rng = np.random.default_rng(30)
+    # off-center bodies, so that no odd-k moment vector is roundoff; built
+    # first, since building a polytope checks its rank
+    bodies = []
+    for n in (2, 3, 4):
+        cube = Polytope.cube(n).rotated(random_rotation(n, seed=n)).translated(rng.uniform(-1.0, 1.0, n))
+        bodies += [cube, random_ellipsoid(n, seed=10 + n), random_simplex(n, seed=n)]
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "matrix_rank", fail)
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    reports = []
+    for body in bodies:
+        for k in (0, 1, 2, 3):
+            svds.clear()
+            reports.append(range_test(body, k, 40, seed=3))
+            assert svds == [(40, len(reports[-1].exponents))]
+    monkeypatch.undo()
+    for rep in reports:
+        design = monomial_design_matrix(rep.directions, rep.exponents)
+        coef = np.linalg.lstsq(design, rep.moments, rcond=None)[0]
+        assert np.abs(rep.fit_coefficients - coef).max() <= 1e-12 * np.abs(coef).max()
+        residual = np.linalg.norm(design @ coef - rep.moments)
+        assert abs(rep.absolute_residual - residual) <= 1e-12 * np.linalg.norm(rep.moments)
+
+
 def test_moment_stack_validation():
     cube = Polytope.cube(3)
     with pytest.raises(ValueError, match="unit Euclidean norm"):

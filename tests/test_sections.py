@@ -415,6 +415,17 @@ def test_section_profile_rejects_non_finite_samples():
     assert SectionProfile(E3, grid, values, 3).values.tobytes() == values.tobytes()
 
 
+def test_section_profile_needs_two_grid_points():
+    """An empty or one-point grid is refused by name, before any fit can
+    index its ends or rescale by a zero width (under the suite's
+    RuntimeWarning-as-error filter, a 0/0 would fail here too)."""
+    for grid in ([], [0.5]):
+        with pytest.raises(ValueError, match="^grid must have at least two points$"):
+            SectionProfile(E3, np.array(grid), np.ones(len(grid)), 3)
+    prof = SectionProfile(E3, np.array([-0.5, 0.5]), np.array([1.0, 1.0]), 3)
+    assert len(prof) == 2
+
+
 def test_profile_margin_shrinks_window():
     ball = Ellipsoid.from_axes([1.0, 1.0, 1.0])
     prof = profile(ball, E3, num_points=16, margin=0.1)
