@@ -13,25 +13,18 @@ from .bodies import (
     QuadricDomain,
     UnboundedSliceError,
     chord_interval,
-    contains,
-    fibonacci_sphere,
     load_body,
     random_ellipsoid,
     random_rotation,
     random_simplex,
-    sample_directions,
     save_body,
     support,
-    unit_ball_volume,
 )
 from .sections import (
     SectionProfile,
     profile,
     section_volume,
-    section_volume_ellipsoid,
     section_volume_mc,
-    section_volume_polytope,
-    section_volume_quadric,
 )
 from .radon import (
     MomentReport,
@@ -45,7 +38,6 @@ from .algfit import (
     detect_min_m,
     exponent_estimate,
     fit_power_polynomial,
-    normalized_section_constant,
     predicted_boundary_constant,
     principal_curvatures,
     quadric_check,
@@ -74,11 +66,7 @@ __all__ = [
     "RootStructureReport",
     "EllipsoidReport",
     "support",
-    "contains",
     "chord_interval",
-    "unit_ball_volume",
-    "fibonacci_sphere",
-    "sample_directions",
     "random_ellipsoid",
     "random_rotation",
     "random_simplex",
@@ -86,16 +74,12 @@ __all__ = [
     "save_body",
     "profile",
     "section_volume",
-    "section_volume_ellipsoid",
-    "section_volume_polytope",
-    "section_volume_quadric",
     "section_volume_mc",
     "moment",
     "range_test",
     "fit_power_polynomial",
     "detect_min_m",
     "root_structure",
-    "normalized_section_constant",
     "exponent_estimate",
     "principal_curvatures",
     "predicted_boundary_constant",

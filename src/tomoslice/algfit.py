@@ -30,15 +30,15 @@ from .bodies import (
     InfiniteSupportError,
     Polytope,
     QuadricDomain,
+    _chord_rows,
     _norm,
     _one_direction,
     _require_int,
     _require_tol,
     _row_products,
-    chord_interval,
     unit_ball_volume,
 )
-from .sections import _finite_window, _lobatto_nodes, lobatto_grid, profile, section_volume
+from .sections import _finite_window, _lobatto_nodes, _section_rows, lobatto_grid, profile
 
 __all__ = [
     "AlgebraicFitReport",
@@ -50,7 +50,6 @@ __all__ = [
     "detect_min_m",
     "quadric_check",
     "root_structure",
-    "normalized_section_constant",
     "exponent_estimate",
     "principal_curvatures",
     "predicted_boundary_constant",
@@ -374,24 +373,17 @@ def root_structure(report, h_plus, h_minus):
     return rr
 
 
-def normalized_section_constant(body, xi):
-    """Per-direction section coefficient, rescaled to be direction-free for
-    quadratically supported bodies.
-
-    Writing A(xi, t) = C(xi) * ((h_plus - t)(h_minus + t))^{(n-1)/2}, the raw
-    coefficient C(xi) carries a factor (half-chord)^{-n}; multiplying it out
-    leaves a constant that moment conditions force to be direction
-    independent.  Evaluated at the chord midpoint.
-    """
-    d = _one_direction(xi, body.n)
-    t_lo, t_hi = chord_interval(body, d)
-    t = float(0.5 * (t_lo + t_hi))
-    return normalized_constant_from_value(section_volume(body, d, t), t, t_lo, t_hi, body.n)
-
-
 def normalized_constant_from_value(a_val, t, t_lo, t_hi, n):
     """The normalized section constant from one section value a_val = A(xi, t)
-    at an offset t inside the chord [t_lo, t_hi]."""
+    at an offset t inside the chord [t_lo, t_hi]: the per-direction section
+    coefficient, rescaled to be direction-free for quadratically supported
+    bodies.
+
+    Writing A(xi, t) = C(xi) * ((t_hi - t)(t - t_lo))^{(n-1)/2}, the raw
+    coefficient C(xi) carries a factor (half-chord)^{-n}; multiplying it out
+    leaves a constant that moment conditions force to be direction
+    independent.  The detection replay evaluates it at the chord midpoint.
+    """
     base = (t_hi - t) * (t - t_lo)
     half_chord = 0.5 * (t_hi - t_lo)
     return a_val * base ** (-(n - 1) / 2.0) * half_chord**n
@@ -436,6 +428,8 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2)):
     ``window`` gives the depth range below t0 = h(xi) in units of the chord
     width; for unbounded bodies (no chord) the window is taken in absolute
     units.  The regression uses 16 log-spaced depths (_EXPONENT_POINTS).
+    The direction is read and checked once; the chord and the section
+    engine reuse the checked direction.
     """
     if isinstance(body, Polytope):
         raise TypeError("boundary power laws need a strictly convex body")
@@ -444,7 +438,9 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2)):
     if not 0.0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
     try:
-        t_lo, t_hi = chord_interval(body, d)
+        # the chord of the direction checked above, without a second check
+        c_lo, c_hi = _chord_rows(body, d[None])
+        t_lo, t_hi = float(c_lo[0]), float(c_hi[0])
     except InfiniteSupportError:
         # unbounded body: no chord to scale by, take the window in absolute units
         t_hi = body.support(d)
@@ -457,7 +453,7 @@ def exponent_estimate(body, xi, window=(1e-4, 1e-2)):
             raise ValueError("window exceeds 0.1 of the chord width")
     depths = np.geomspace(lo, hi, _EXPONENT_POINTS) * width
     t0 = t_hi
-    values = section_volume(body, d, t0 - depths)
+    values = _section_rows(body, d[None], (t0 - depths)[None])[0]
     if np.any(values < 1e-300):
         raise ValueError("section values underflow inside the regression window")
     slope, intercept = _least_squares(np.vander(np.log(depths), 2)).pinv @ np.log(values)

@@ -16,8 +16,8 @@ array of m values.  There is one code path: one direction is the one-row
 stack, and every product of a body matrix with a stack runs one
 matrix-vector product per row (``_row_products``), so a stack row of
 ``support`` or ``chord_interval`` equals its one-direction call bit for bit.
-Membership works the same way: ``contains(x)`` is the one-row case of
-``contains_points(X)``, so a point gets the same verdict alone or in a batch.
+Membership works the same way: ``contains_points(X)`` gives a point the
+same verdict alone, as a one-row X, or in a batch.
 
 Every entry point of the package reads a direction through
 ``_direction_rows``: a unit direction is a 1-d array of shape (n,), and
@@ -42,7 +42,6 @@ __all__ = [
     "Polytope",
     "QuadricDomain",
     "support",
-    "contains",
     "chord_interval",
     "unit_ball_volume",
     "fibonacci_sphere",
@@ -527,14 +526,6 @@ def support(body, xi):
     return body.support(_one_direction(xi, body.n))
 
 
-def contains(body, x):
-    """Closed membership test; boundary points count as inside."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (body.n,):
-        raise ValueError("point dimension does not match the body")
-    return body.contains(x)
-
-
 def chord_interval(body, xi):
     """Range (t_min, t_max) of hyperplane offsets t with K meeting {x.xi = t}.
 
@@ -577,7 +568,12 @@ def fibonacci_sphere(count):
 
 def sample_directions(n, count, seed=0, antithetic=False):
     """Direction set on S^{n-1}: Fibonacci lattice for n = 3, otherwise a
-    seeded uniform sample (optionally as antithetic +/- pairs)."""
+    seeded uniform sample (optionally as antithetic +/- pairs).
+
+    For n = 3 the lattice ignores both ``seed`` and ``antithetic``: every
+    seed gives the same ``count`` rows, which are not antithetic pairs.  So
+    ``is_ellipsoid`` and ``range_test`` on a 3-d body report the same
+    numbers at every seed."""
     _require_int("count", count, 1)
     if n == 3:
         return fibonacci_sphere(count)

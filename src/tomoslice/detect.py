@@ -31,7 +31,7 @@ from .bodies import (
 )
 from .algfit import _least_squares, normalized_constant_from_value
 from .radon import homogeneous_exponents, monomial_design_matrix
-from .sections import section_volume
+from .sections import _section_rows
 
 __all__ = [
     "EllipsoidReport",
@@ -200,6 +200,11 @@ def is_ellipsoid(body, tol=DEFAULT_TOL_EXACT, num_directions=DEFAULT_NUM_DIRECTI
     directions, one antithetic pair more than twice the unknowns of S.  The
     default tolerance assumes exact support evaluations; data from the Monte
     Carlo oracle calls for the documented loosening to about 1e-4.
+
+    For n = 3 the direction set is the Fibonacci lattice of
+    ``sample_directions``, which ignores ``seed`` and is not antithetic, so
+    a 3-d body gets the same report at every seed apart from the echoed
+    ``seed``.
     """
     n = body.n
     # n(n+1) + 2 directions also cover the 2n of the linear stage
@@ -251,10 +256,11 @@ def section_consistency_check(body, report, num_probes=50, seed=0):
     exceeds 1e-8 the input is not section-wise ellipsoidal and a
     SectionConstantError is raised.
 
-    The probes go to the section engines as one direction stack: one
-    ``section_volume`` call on the input body, at each probe's offset and
-    chord midpoint, and one on the recovered ellipsoid.  The probes depend
-    only on (n, num_probes, seed) and come from a cache (``_probe_set``).
+    The probes go to the section engines as one direction stack: one engine
+    call on the input body, at each probe's offset and chord midpoint, and
+    one on the recovered ellipsoid.  The probes depend only on
+    (n, num_probes, seed) and come from a cache (``_probe_set``); they are
+    library-made unit rows, so neither engine call checks them again.
     """
     _require_int("num_probes", num_probes, 1)
     _require_int("seed", seed, 0)
@@ -263,15 +269,15 @@ def section_consistency_check(body, report, num_probes=50, seed=0):
     recovered = report.recovered_body()
     n = body.n
     dirs, fracs = _probe_set(n, num_probes, seed)
-    # library-made unit rows: their chords skip chord_interval's check
+    # library-made unit rows: their chords and sections skip the direction check
     t_lo, t_hi = _chord_rows(body, dirs)
     width = t_hi - t_lo
     lo, hi = t_lo + 0.1 * width, t_hi - 0.1 * width
     # the map numpy's uniform(lo, hi) applies to one random() draw
     ts = lo + (hi - lo) * fracs
     mids = 0.5 * (t_lo + t_hi)
-    a_in, a_mid = section_volume(body, dirs, np.column_stack([ts, mids])).T
-    a_rec = section_volume(recovered, dirs, ts)
+    a_in, a_mid = _section_rows(body, dirs, np.column_stack([ts, mids])).T
+    a_rec = _section_rows(recovered, dirs, ts[:, None])[:, 0]
     errs = np.abs(a_rec - a_in) / np.maximum(np.abs(a_in), _RESIDUAL_GUARD)
     constants = normalized_constant_from_value(a_mid, mids, t_lo, t_hi, n)
     spread = float(constants.max() - constants.min()) / max(abs(float(constants.mean())), _RESIDUAL_GUARD)

@@ -86,6 +86,11 @@ def moment(target, xi, k):
     Each rule has the exact order for the body (``_exact_quad_order``):
     ceil((n + k) / 2) Gauss-Legendre nodes per polytope piece,
     ceil((k + 1) / 2) Gauss-Jacobi nodes for an ellipsoid.
+
+    The stack is checked here and once more by ``section_volume``: the
+    benchmark counts the offsets of the ``section_volume`` calls made under
+    ``moment`` (``radon.moment.evals_per_call``), so the call stays until
+    that count moves to the engine cores.
     """
     _require_int("k", k, 0)
     if isinstance(target, QuadricDomain):
@@ -168,11 +173,13 @@ def range_test(body, k, num_directions, seed=0):
     """Fit M_k over a direction sample by a homogeneous degree-k polynomial.
 
     The directions come from the Fibonacci lattice for n = 3 and from a
-    seeded uniform sample otherwise.  Requires at least twice as many
-    directions as degree-k monomials.  One SVD (``algfit._least_squares``)
-    gives the design's rank, which must be full, and the fit.  The moments
-    come from one section engine call (:func:`moment` on the direction
-    stack).  The report records the exact quadrature order it used.
+    seeded uniform sample otherwise; the lattice ignores ``seed``, so a 3-d
+    body gets the same fit at every seed apart from the echoed ``seed``.
+    Requires at least twice as many directions as degree-k monomials.  One
+    SVD (``algfit._least_squares``) gives the design's rank, which must be
+    full, and the fit.  The moments come from one section engine call
+    (:func:`moment` on the direction stack).  The report records the exact
+    quadrature order it used.
     """
     _require_int("k", k, 0)
     n = body.n

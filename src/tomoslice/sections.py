@@ -4,14 +4,18 @@ Each body family has an exact engine, plus a seeded Monte Carlo slab oracle
 that estimates the same quantity from nothing but the membership test.  The
 oracle exists so the closed forms can be cross-validated instead of trusted.
 
-Every exact engine runs one code path over an (m, n) stack of unit
+``section_volume`` is the one public entry to the exact engines.  It reads
+and checks the direction once, then hands an (m, n) stack of unit
 directions and an (m, k) array of offsets, row i of the offsets belonging to
-direction i.  A single direction is the one-row stack and takes offsets of
-any shape; a stack takes offsets of shape (m,) or (m, k).  The result has
-the offsets' shape, and a scalar offset comes back as a float.  As one
-direction takes the same path, a stack's row equals the one-direction call
-bit for bit.  All engines return 0 outside the chord interval, NaN for a
-NaN offset, and satisfy A(xi, t) = A(-xi, -t) by construction.
+direction i, to the family's engine, a core that checks nothing.  A single
+direction is the one-row stack and takes offsets of any shape; a stack
+takes offsets of shape (m,) or (m, k).  The result has the offsets' shape,
+and a scalar offset comes back as a float.  As one direction takes the same
+path, a stack's row equals the one-direction call bit for bit.  Every
+family returns 0 outside the chord interval and NaN for a NaN offset, and
+satisfies A(xi, t) = A(-xi, -t) by construction.  Internal callers that
+hold rows they checked already (``profile``, ``exponent_estimate``, the
+detection replay) call the cores through ``_section_rows``.
 """
 
 from __future__ import annotations
@@ -38,9 +42,6 @@ from .bodies import (
 
 __all__ = [
     "SectionProfile",
-    "section_volume_ellipsoid",
-    "section_volume_polytope",
-    "section_volume_quadric",
     "section_volume",
     "section_volume_mc",
     "profile",
@@ -134,8 +135,9 @@ def _shaped(values, ts, shape):
     return float(values) if shape == () else values
 
 
-def section_volume_ellipsoid(body, xi, t):
-    """Exact section volume of an ellipsoid.
+def section_volume_ellipsoid(body, D, ts):
+    """Exact section volume of an ellipsoid, as an (m, k) array: the core
+    over a checked (m, n) stack D and (m, k) offsets ts.
 
     For K = {(x-c)^T M (x-c) <= 1} and unit xi with hbar = sqrt(xi^T M^-1 xi),
 
@@ -146,21 +148,19 @@ def section_volume_ellipsoid(body, xi, t):
     cross-checking against the Monte Carlo slab oracle (see the test suite)
     before being relied on anywhere else.
     """
-    if not isinstance(body, Ellipsoid):
-        raise TypeError("section_volume_ellipsoid expects an Ellipsoid")
     n = body.n
-    D, ts, shape = _queries(xi, t, n)
     mid, hbar = body._chord(D)
     tau = ts - mid[:, None]
     gap = np.maximum((hbar * hbar)[:, None] - tau * tau, 0.0)
     # hbar^-n by float **, which numpy's array power does not always match
     const = unit_ball_volume(n - 1) / body._sqrt_det_shape
     scale = np.array([const * h ** (-n) for h in hbar.tolist()])
-    return _shaped(scale[:, None] * gap ** ((n - 1) / 2.0), ts, shape)
+    return scale[:, None] * gap ** ((n - 1) / 2.0)
 
 
-def section_volume_polytope(body, xi, t):
-    """Exact section volume of a polytope in any dimension n >= 2.
+def section_volume_polytope(body, D, ts):
+    """Exact section volume of a polytope in any dimension n >= 2, as an
+    (m, k) array: the core over a checked (m, n) stack D and (m, k) offsets ts.
 
     For a simplex S with vertices v_0..v_n, A(xi, t) = vol(S) M(t), where M
     is the normalized B-spline of order n (degree n - 1, integral 1) whose
@@ -177,9 +177,6 @@ def section_volume_polytope(body, xi, t):
     offset at the lowest vertex height takes the right limit, so a
     facet-parallel slice at either end of the chord returns the facet's area.
     """
-    if not isinstance(body, Polytope):
-        raise TypeError("section_volume_polytope expects a Polytope")
-    D, ts, shape = _queries(xi, t, body.n)
     h = body._heights(D)
     low = h.min(axis=1)[:, None]
     inside = (ts >= low) & (ts <= h.max(axis=1)[:, None])
@@ -197,8 +194,7 @@ def section_volume_polytope(body, xi, t):
         M = _guarded_ratio(r / (r - 1), hi - lo) * ((s - lo) * M[..., :-1] + (hi - s) * M[..., 1:])
     # a running sum adds the simplices in one fixed order, so every offset's
     # value is independent of how many offsets share the call
-    out = np.where(inside, np.cumsum(M[..., 0] * body._simplex_volumes, axis=-1)[..., -1], 0.0)
-    return _shaped(out, ts, shape)
+    return np.where(inside, np.cumsum(M[..., 0] * body._simplex_volumes, axis=-1)[..., -1], 0.0)
 
 
 def _guarded_ratio(a, width):
@@ -206,8 +202,10 @@ def _guarded_ratio(a, width):
     return np.divide(a, width, out=np.zeros(width.shape), where=width > 0.0)
 
 
-def section_volume_quadric(body, xi, t):
-    """Exact section volume of a paraboloid epigraph or hyperboloid sheet.
+def section_volume_quadric(body, D, ts):
+    """Exact section volume of a paraboloid epigraph or hyperboloid sheet, as
+    an (m, k) array: the core over a checked (m, n) stack D and (m, k)
+    offsets ts.
 
     Works by eliminating x_n on the cutting plane and completing the square,
     which reduces the slice to an (n-1)-ellipsoid in the transverse variables;
@@ -216,10 +214,7 @@ def section_volume_quadric(body, xi, t):
     along any direction is noncompact, returns 0 when the plane misses the
     body.
     """
-    if not isinstance(body, QuadricDomain):
-        raise TypeError("section_volume_quadric expects a QuadricDomain")
     n = body.n
-    D, ts, shape = _queries(xi, t, n)
     vp, vn = D[:, :-1], D[:, -1:]
     a = body.axes
     if body.kind == PARABOLOID:
@@ -228,8 +223,7 @@ def section_volume_quadric(body, xi, t):
         alpha = np.abs(vn)
         shift = np.sum(vp**2 * a**2, axis=1, keepdims=True) / (4.0 * alpha)
         r = np.maximum(np.copysign(1.0, vn) * ts + shift, 0.0)
-        out = unit_ball_volume(n - 1) * float(np.prod(a)) * (r / alpha) ** ((n - 1) / 2.0) / alpha
-        return _shaped(out, ts, shape)
+        return unit_ball_volume(n - 1) * float(np.prod(a)) * (r / alpha) ** ((n - 1) / 2.0) / alpha
     c2vn2 = body.c**2 * vn**2
     # xi_n = 0 fails this too
     if np.any(c2vn2 <= np.sum(a**2 * vp**2, axis=1, keepdims=True)):
@@ -242,7 +236,7 @@ def section_volume_quadric(body, xi, t):
     # with q >= 0; where that has the opposite sign to xi_n the plane only
     # meets the mirror sheet, which is not part of the body
     out[np.copysign(1.0, ts) != np.copysign(1.0, vn)] = 0.0
-    return _shaped(out, ts, shape)
+    return out
 
 
 def section_volume(body, xi, t):
@@ -253,14 +247,24 @@ def section_volume(body, xi, t):
     along direction i.  The result has the offsets' shape (a float for a
     scalar offset).  Each engine runs one code path, a single direction
     being the one-row stack, so a stack's row i equals the one-direction
-    call A(xi_i, t_i) bit for bit.
+    call A(xi_i, t_i) bit for bit.  The direction is read and checked once,
+    here; the family's engine checks nothing.
     """
+    D, ts, shape = _queries(xi, t, body.n)
+    return _shaped(_section_rows(body, D, ts), ts, shape)
+
+
+def _section_rows(body, D, ts):
+    """The family engine's (m, k) section volumes over an (m, n) stack D that
+    ``_direction_rows`` has already checked and (m, k) offsets ts.  The
+    engines are called by position: the benchmark tracer reads the offsets
+    as the third argument."""
     if isinstance(body, Ellipsoid):
-        return section_volume_ellipsoid(body, xi, t)
+        return section_volume_ellipsoid(body, D, ts)
     if isinstance(body, Polytope):
-        return section_volume_polytope(body, xi, t)
+        return section_volume_polytope(body, D, ts)
     if isinstance(body, QuadricDomain):
-        return section_volume_quadric(body, xi, t)
+        return section_volume_quadric(body, D, ts)
     raise TypeError(f"no section engine for {type(body).__name__}")
 
 
@@ -426,9 +430,9 @@ def profile(body, xi, num_points=64, margin=0.02, window=None):
         Explicit offset window, used exactly as given (margin does not apply);
         required for unbounded bodies, where no chord interval exists.
 
-    The direction is checked once here and once more by the section engine;
-    the chord takes one geometry pass (as in ``chord_interval``), and the
-    profile is built without reading the direction a third time.
+    The direction is read and checked once, here; the chord takes one
+    geometry pass (as in ``chord_interval``), and the section engine and the
+    profile reuse the checked direction.
     """
     d = _one_direction(xi, body.n)
     _require_int("num_points", num_points, 16)
@@ -445,4 +449,5 @@ def profile(body, xi, num_points=64, margin=0.02, window=None):
         if not t_hi > t_lo:
             raise ValueError("window must be a nonempty interval")
     grid = lobatto_grid(t_lo, t_hi, num_points)
-    return SectionProfile._of_direction(d, grid, section_volume(body, d, grid), body.n)
+    values = _section_rows(body, d[None], grid[None])[0]
+    return SectionProfile._of_direction(d, grid, values, body.n)

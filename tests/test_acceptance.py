@@ -16,7 +16,7 @@ from tomoslice.algfit import (
     detect_min_m,
     exponent_estimate,
     fit_power_polynomial,
-    normalized_section_constant,
+    normalized_constant_from_value,
     predicted_boundary_constant,
     root_structure,
 )
@@ -33,6 +33,13 @@ from tomoslice.bodies import (
 from tomoslice.detect import is_ellipsoid
 from tomoslice.radon import range_test
 from tomoslice.sections import profile, section_volume, section_volume_mc
+
+
+def normalized_section_constant(body, d):
+    """The normalized section constant along d, at the chord midpoint."""
+    lo, hi = chord_interval(body, d)
+    mid = 0.5 * (lo + hi)
+    return normalized_constant_from_value(section_volume(body, d, mid), mid, lo, hi, body.n)
 
 
 def canonical_pairs():

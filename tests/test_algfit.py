@@ -5,6 +5,8 @@ import pytest
 from numpy.polynomial import chebyshev
 
 import tomoslice.algfit as algfit_module
+import tomoslice.bodies as bodies_module
+import tomoslice.sections as sections_module
 from tomoslice import cli
 from tomoslice.bodies import (
     Direction,
@@ -25,7 +27,7 @@ from tomoslice.algfit import (
     exponent_estimate,
     fit_power_polynomial,
     min_m_plan,
-    normalized_section_constant,
+    normalized_constant_from_value,
     power_fits,
     predicted_boundary_constant,
     principal_curvatures,
@@ -34,6 +36,13 @@ from tomoslice.algfit import (
 )
 from tomoslice.detect import is_ellipsoid
 from tomoslice.sections import SectionProfile, _lobatto_nodes, lobatto_grid, profile, section_volume
+
+
+def normalized_section_constant(body, d):
+    """The normalized section constant along d, at the chord midpoint."""
+    lo, hi = chord_interval(body, d)
+    mid = 0.5 * (lo + hi)
+    return normalized_constant_from_value(section_volume(body, d, mid), mid, lo, hi, body.n)
 
 
 def rand_dir(n, seed):
@@ -639,6 +648,26 @@ def test_exponent_estimate_agrees_with_polyfit():
                 slope, intercept = np.polyfit(np.log(rep.depths), np.log(rep.values), 1)
                 assert abs(rep.estimated_exponent - slope) <= 1e-12 * abs(slope)
                 assert abs(rep.estimated_constant - math.exp(intercept)) <= 1e-12 * math.exp(intercept)
+
+
+def test_exponent_estimate_reads_its_direction_once(monkeypatch):
+    """``exponent_estimate`` checks its direction once; the chord (or the
+    support of an unbounded body) and the section engine reuse it."""
+    reads = []
+    real_rows = bodies_module._direction_rows
+
+    def counting_rows(xi, n):
+        reads.append(np.shape(xi))
+        return real_rows(xi, n)
+
+    for module in (bodies_module, sections_module):
+        monkeypatch.setattr(module, "_direction_rows", counting_rows)
+    par = QuadricDomain("paraboloid", np.array([1.0, 0.7]))
+    for body, xi in ((random_ellipsoid(3, seed=2), [0.3, -0.5, 0.8]), (par, [0.2, 0.1, -0.9])):
+        d = np.asarray(xi) / np.linalg.norm(xi)
+        reads.clear()
+        exponent_estimate(body, d)
+        assert reads == [(3,)], type(body).__name__
 
 
 def test_exponent_estimate_unbounded_body():

@@ -277,9 +277,9 @@ def test_cached_samples_pass_the_direction_check():
 
 
 def test_detection_checks_only_the_callers_directions(monkeypatch):
-    """``bodies._direction_rows`` runs 0 times in ``is_ellipsoid``, twice in
-    the replay (its two engine calls) and twice in ``profile`` (its own
-    check and the engine's)."""
+    """``bodies._direction_rows`` runs 0 times in ``is_ellipsoid`` and in the
+    replay, whose directions the library made, and once in ``profile``, its
+    own check of the caller's direction."""
     reads = []
     real_rows = bodies_module._direction_rows
 
@@ -296,11 +296,11 @@ def test_detection_checks_only_the_callers_directions(monkeypatch):
         assert reads == []
         if report.accepted:
             section_consistency_check(body, report, num_probes=25, seed=1)
-            assert reads == [(25, n), (25, n)]
+            assert reads == []
         reads.clear()
         xi = np.arange(1.0, n + 1.0)
         profile(body, xi / np.linalg.norm(xi), num_points=96, margin=0.0)
-        assert reads == [(n,), (n,)]
+        assert reads == [(n,)]
     # the cube, last, took the rejected branch
     assert report.verdict == "reject"
 
@@ -361,13 +361,13 @@ def test_consistency_check_rejects_unbounded_probe():
 
 def test_consistency_check_makes_two_section_calls(monkeypatch):
     calls = []
-    real = detect_module.section_volume
+    real = detect_module._section_rows
 
-    def counting(body, xi, t):
-        calls.append((body, np.shape(xi), np.shape(t)))
-        return real(body, xi, t)
+    def counting(body, D, ts):
+        calls.append((body, np.shape(D), np.shape(ts)))
+        return real(body, D, ts)
 
-    monkeypatch.setattr(detect_module, "section_volume", counting)
+    monkeypatch.setattr(detect_module, "_section_rows", counting)
     body = random_ellipsoid(3, seed=5)
     report = is_ellipsoid(body, seed=1)
     for num in (25, 50):
@@ -375,7 +375,7 @@ def test_consistency_check_makes_two_section_calls(monkeypatch):
         section_consistency_check(body, report, num_probes=num, seed=0)
         # the input body at each offset and chord midpoint, then the recovery
         shapes = [(shape_xi, shape_t) for _, shape_xi, shape_t in calls]
-        assert shapes == [((num, 3), (num, 2)), ((num, 3), (num,))]
+        assert shapes == [((num, 3), (num, 2)), ((num, 3), (num, 1))]
         assert calls[0][0] is body
         recovered = calls[1][0]
         assert isinstance(recovered, Ellipsoid) and recovered is not body
@@ -538,3 +538,23 @@ def test_cli_detect_on_an_unbounded_body_exits_1(body, tmp_path):
     assert code == 1
     assert err.getvalue().startswith(f"error: the {body.kind} is unbounded")
     assert caught == []
+
+
+def test_detect_reports_ignore_the_seed_in_three_dimensions(tmp_path):
+    """``sample_directions(3, ...)`` is the Fibonacci lattice, which ignores
+    ``seed`` and ``antithetic``.  So ``detect`` on a 3-d body gives the same
+    report at seeds 0 and 5 apart from the echoed seed, while a 4-d body's
+    reports differ.  This pins today's behaviour; seeding the 3-d set is a
+    declared report change and shows here."""
+    for n, alike in ((3, True), (4, False)):
+        path = tmp_path / f"ellipsoid{n}.json"
+        save_body(random_ellipsoid(n, seed=7), path)
+        reports = []
+        for seed in (0, 5):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["detect", "--body", str(path), "--seed", str(seed)]) == 0
+            rep = json.loads(out.getvalue())
+            assert rep["config"].pop("seed") == rep["report"].pop("seed") == seed
+            reports.append(rep)
+        assert (reports[0] == reports[1]) is alike, n

@@ -125,8 +125,6 @@ DEFAULTED_PARAMETERS = {
     ("random_rotation", "seed"),
     ("random_simplex", "seed"),
     ("range_test", "seed"),
-    ("sample_directions", "antithetic"),
-    ("sample_directions", "seed"),
     ("section_consistency_check", "num_probes"),
     ("section_consistency_check", "seed"),
     ("section_volume_mc", "box"),
@@ -134,6 +132,51 @@ DEFAULTED_PARAMETERS = {
     ("section_volume_mc", "seed"),
     ("section_volume_mc", "slab_halfwidth"),
 }
+
+
+# every name tomoslice exports; a new export has to appear here, and so in a
+# diff.  Each has a caller outside tests/, except fit_power_polynomial, which
+# the benchmark tracer patches by name
+EXPORTS = {
+    "AlgebraicFitReport",
+    "AsymptoticReport",
+    "Direction",
+    "Ellipsoid",
+    "EllipsoidReport",
+    "InfiniteSupportError",
+    "MomentReport",
+    "Polytope",
+    "QuadricDomain",
+    "RootStructureReport",
+    "SectionProfile",
+    "UnboundedSliceError",
+    "__version__",
+    "chord_interval",
+    "detect_min_m",
+    "exponent_estimate",
+    "fit_power_polynomial",
+    "is_ellipsoid",
+    "load_body",
+    "moment",
+    "predicted_boundary_constant",
+    "principal_curvatures",
+    "profile",
+    "quadric_check",
+    "random_ellipsoid",
+    "random_rotation",
+    "random_simplex",
+    "range_test",
+    "root_structure",
+    "save_body",
+    "section_consistency_check",
+    "section_volume",
+    "section_volume_mc",
+    "support",
+}
+
+
+def test_the_package_exports_only_the_listed_names():
+    assert set(tomoslice.__all__) == EXPORTS
 
 
 def test_public_functions_have_only_the_listed_defaulted_parameters():

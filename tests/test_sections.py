@@ -26,10 +26,7 @@ from tomoslice.sections import (
     lobatto_grid,
     profile,
     section_volume,
-    section_volume_ellipsoid,
     section_volume_mc,
-    section_volume_polytope,
-    section_volume_quadric,
 )
 
 E1 = Direction(np.array([1.0, 0.0, 0.0]))
@@ -502,19 +499,21 @@ def test_array_offsets_match_scalar_calls_exactly():
 
 
 def test_nan_offset_gives_nan_in_every_family():
-    engines = {
-        Ellipsoid: section_volume_ellipsoid,
-        Polytope: section_volume_polytope,
-        QuadricDomain: section_volume_quadric,
-    }
     seen = set()
-    for body, d, _ in _family_cases():
-        engine = engines[type(body)]
-        assert math.isnan(engine(body, d, math.nan))
-        both = engine(body, d, np.array([np.nan, np.nan]))
-        assert np.all(np.isnan(both))
+    for body, d, ts in _family_cases():
+        assert math.isnan(section_volume(body, d, math.nan))
+        both = section_volume(body, d, np.array([np.nan, np.nan]))
+        assert both.shape == (2,) and np.all(np.isnan(both))
+        # an (m, k) stack: NaN exactly where the offset is NaN, and every
+        # other entry as its one-direction call
+        finite = ts[np.isfinite(ts)][:2]
+        offsets = np.array([[np.nan, finite[0]], [finite[1], np.nan]])
+        got = section_volume(body, np.vstack([d, d]), offsets)
+        assert got.shape == (2, 2)
+        assert np.isnan(got).tolist() == [[True, False], [False, True]]
+        assert [got[0, 1], got[1, 0]] == [section_volume(body, d, t) for t in finite]
         seen.add(type(body))
-    assert seen == set(engines)
+    assert seen == {Ellipsoid, Polytope, QuadricDomain}
 
 
 def test_polytope_chord_ends_and_outside():
@@ -530,18 +529,18 @@ def test_polytope_chord_ends_and_outside():
 
 def test_profile_makes_one_section_call(monkeypatch):
     calls = []
-    real = sections_module.section_volume
+    real = sections_module._section_rows
 
-    def counting(body, xi, t):
-        calls.append(np.size(t))
-        return real(body, xi, t)
+    def counting(body, D, ts):
+        calls.append(np.size(ts))
+        return real(body, D, ts)
 
-    monkeypatch.setattr(sections_module, "section_volume", counting)
+    monkeypatch.setattr(sections_module, "_section_rows", counting)
     profile(Polytope.cube(3), unit([0.3, -0.5, 0.8]), num_points=64)
     assert calls == [64]
 
 
-def test_profile_reads_its_direction_at_most_twice(monkeypatch):
+def test_profile_reads_its_direction_once(monkeypatch):
     reads = []
     engines = []
     real_rows = bodies_module._direction_rows
@@ -555,9 +554,9 @@ def test_profile_reads_its_direction_at_most_twice(monkeypatch):
     for name in ("section_volume_ellipsoid", "section_volume_polytope", "section_volume_quadric"):
         real = getattr(sections_module, name)
 
-        def counting(body, xi, t, real=real):
-            engines.append(np.size(t))
-            return real(body, xi, t)
+        def counting(body, D, ts, real=real):
+            engines.append(np.size(ts))
+            return real(body, D, ts)
 
         monkeypatch.setattr(sections_module, name, counting)
     par = QuadricDomain("paraboloid", np.array([1.0, 0.7]))
@@ -573,11 +572,37 @@ def test_profile_reads_its_direction_at_most_twice(monkeypatch):
         reads.clear()
         engines.clear()
         prof = profile(body, xi, num_points=48, **kwargs)
-        # profile's own check and the engine's; the chord and the
+        # profile's own check; the chord, the engine and the
         # SectionProfile reuse the checked direction
-        assert reads == [(body.n,), (body.n,)], type(body).__name__
+        assert reads == [(body.n,)], type(body).__name__
         assert engines == [48]
         assert not prof.xi.flags.writeable
+
+
+def test_section_volume_reads_its_direction_once(monkeypatch):
+    """``section_volume`` checks its direction or stack once; the family
+    engine it dispatches to reads none."""
+    reads = []
+    real_rows = bodies_module._direction_rows
+
+    def counting_rows(xi, n):
+        reads.append(np.shape(xi))
+        return real_rows(xi, n)
+
+    monkeypatch.setattr(bodies_module, "_direction_rows", counting_rows)
+    monkeypatch.setattr(sections_module, "_direction_rows", counting_rows)
+    seen = set()
+    for body, d, ts in _family_cases():
+        stack = np.vstack([d, d, d])
+        for xi, t in ((d, 0.1), (d, ts), (stack, ts[:3]), (stack, np.tile(ts[:4], (3, 1)))):
+            reads.clear()
+            section_volume(body, xi, t)
+            assert reads == [np.shape(xi)], type(body).__name__
+        reads.clear()
+        rows = sections_module._section_rows(body, stack, np.tile(ts[:4], (3, 1)))
+        assert reads == [] and rows.shape == (3, 4)
+        seen.add(type(body))
+    assert seen == {Ellipsoid, Polytope, QuadricDomain}
 
 
 def test_mc_reads_its_direction_once(monkeypatch):
