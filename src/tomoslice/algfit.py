@@ -38,7 +38,7 @@ from .bodies import (
     _row_products,
     unit_ball_volume,
 )
-from .sections import _finite_window, _lobatto_nodes, _section_rows, lobatto_grid, profile
+from .sections import _finite_window, _lobatto_nodes, _profile, _section_rows, lobatto_grid
 
 __all__ = [
     "AlgebraicFitReport",
@@ -88,16 +88,6 @@ class RootStructureReport:
     h_plus: float
     h_minus: float
 
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "scale": self.scale,
-            "mismatch": self.mismatch,
-            "roots": [[r, mult] for r, mult in self.roots],
-            "h_plus": self.h_plus,
-            "h_minus": self.h_minus,
-        }
-
 
 @dataclass(eq=False)
 class AlgebraicFitReport:
@@ -123,28 +113,6 @@ class AlgebraicFitReport:
     grid: np.ndarray = field(repr=False)
     power_samples: np.ndarray = field(repr=False)
     root_report: RootStructureReport | None = None
-
-    def evaluate(self, t):
-        s = (2.0 * np.asarray(t, dtype=float) - (self.t_lo + self.t_hi)) / (self.t_hi - self.t_lo)
-        return C.chebval(s, self.coefficients)
-
-    def to_dict(self):
-        out = {
-            "xi": self.xi.tolist(),
-            "n": self.n,
-            "m": self.m,
-            "degree": self.degree,
-            "coefficients": self.coefficients.tolist(),
-            "t_lo": self.t_lo,
-            "t_hi": self.t_hi,
-            "relative_residual": self.relative_residual,
-            "effective_degree": self.effective_degree,
-            "degree_bound_ok": self.degree_bound_ok,
-            "grid": self.grid.tolist(),
-            "power_samples": self.power_samples.tolist(),
-            "root_report": None if self.root_report is None else self.root_report.to_dict(),
-        }
-        return out
 
 
 def _effective_degree(coefficients):
@@ -296,7 +264,7 @@ def quadric_check(body, xi, window=None, num_points=64, tol=QUADRIC_TOL):
                 "no finite entry offset along this direction; pass an explicit window"
             )
         window = (entry + 0.5, entry + 4.0)
-    prof = profile(body, d, num_points=num_points, margin=0.0, window=window)
+    prof = _profile(body, d, num_points, 0.0, window)
     if np.all(prof.values == 0.0):
         raise ValueError("window misses the body: all section values vanish")
     results = []
@@ -408,18 +376,6 @@ class AsymptoticReport:
     num_points: int
     depths: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-
-    def to_dict(self):
-        return {
-            "xi": self.xi.tolist(),
-            "t0": self.t0,
-            "estimated_exponent": self.estimated_exponent,
-            "estimated_constant": self.estimated_constant,
-            "window": list(self.window),
-            "num_points": self.num_points,
-            "depths": self.depths.tolist(),
-            "values": self.values.tolist(),
-        }
 
 
 def exponent_estimate(body, xi, window=(1e-4, 1e-2)):

@@ -8,7 +8,9 @@ error, reported with the subcommand's usage, and so are --margin and
 --window replaces.  Exit codes: 0 on success, 2 when a check ran cleanly
 but reached a negative verdict (reject, or no workable power), 1 on errors
 such as malformed body JSON, a usage error or a non-finite value in a
-report (reports are standard JSON, never NaN or Infinity).  Output is byte
+report (reports are standard JSON, never NaN or Infinity).  A report's
+JSON object is the fields of its dataclass (``_jsonable``), arrays written
+as lists; ``profile`` adds ``"method": "exact"``.  Output is byte
 deterministic for a fixed configuration and seed: JSON is dumped with sorted
 keys and CSV floats are written via repr, and every report embeds its
 resolved configuration: the command, the body, the format and the value of
@@ -19,14 +21,17 @@ tomoslice``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
 
+import numpy as np
+
 from . import algfit, detect, radon, sections
 from .algfit import quadric_check
-from .bodies import _normalized, _require_tol, body_to_dict, chord_interval, load_body
+from .bodies import _chord_rows, _normalized, _require_tol, body_to_dict, load_body
 
 __all__ = ["quadric_check", "run", "main"]
 
@@ -61,6 +66,16 @@ def _dumps(obj, **kwargs):
         raise ValueError(f"report holds a non-finite value: {exc}") from None
 
 
+def _jsonable(obj):
+    """A report as JSON values: a dataclass is the dict of its fields, an
+    array its ``tolist()``, and any other value stays as it is."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
 def _json_report(config, payload):
     return _dumps({"config": config, **payload}, indent=2) + "\n"
 
@@ -85,7 +100,7 @@ def _cmd_profile(body, xi, config):
         body, xi, num_points=config["grid"], margin=config["margin"], window=config["window"]
     )
     if config["format"] == "json":
-        return _json_report(config, {"profile": prof.to_dict()}), EXIT_OK
+        return _json_report(config, {"profile": {**_jsonable(prof), "method": "exact"}}), EXIT_OK
     rows = [(float(t), float(a)) for t, a in zip(prof.grid, prof.values)]
     return _csv_report(config, "t,A", rows), EXIT_OK
 
@@ -93,7 +108,7 @@ def _cmd_profile(body, xi, config):
 def _cmd_moments(body, xi, config):
     reports = [radon.range_test(body, k, config["directions"], seed=config["seed"]) for k in (0, 1, 2)]
     if config["format"] == "json":
-        return _json_report(config, {"reports": [r.to_dict() for r in reports]}), EXIT_OK
+        return _json_report(config, {"reports": [_jsonable(r) for r in reports]}), EXIT_OK
     rows = []
     for rep in reports:
         for d, mval in zip(rep.directions, rep.moments):
@@ -110,12 +125,13 @@ def _cmd_algfit(body, xi, config):
     sweep = [{"m": r.m, "degree": r.degree, "relative_residual": r.relative_residual} for r in reports]
     winner = next((r for r in reports if r.relative_residual < config["tol"]), None)
     if winner is not None and (winner.m * (prof.n - 1)) % 2 == 0:
-        lo, hi = chord_interval(body, xi)
-        algfit.root_structure(winner, hi, -lo)
+        # the chord of the profile's checked direction, without a second check
+        lo, hi = _chord_rows(body, prof.xi[None])
+        algfit.root_structure(winner, float(hi[0]), -float(lo[0]))
     payload = {
         "sweep": sweep,
         "verdict": "none" if winner is None else f"m={winner.m}",
-        "winner": None if winner is None else winner.to_dict(),
+        "winner": None if winner is None else _jsonable(winner),
     }
     code = EXIT_NEGATIVE if winner is None else EXIT_OK
     if config["format"] == "json":
@@ -128,7 +144,7 @@ def _cmd_detect(body, xi, config):
     report = detect.is_ellipsoid(body, tol=config["tol"], num_directions=config["directions"], seed=config["seed"])
     code = EXIT_OK if report.accepted else EXIT_NEGATIVE
     if config["format"] == "json":
-        return _json_report(config, {"report": report.to_dict()}), code
+        return _json_report(config, {"report": _jsonable(report)}), code
     rows = [
         ("verdict", report.verdict),
         ("linear_residual", float(report.linear_residual)),
@@ -140,7 +156,7 @@ def _cmd_detect(body, xi, config):
 def _cmd_asymptote(body, xi, config):
     report = algfit.exponent_estimate(body, xi, window=(1e-4, 1e-3))
     predicted = algfit.predicted_boundary_constant(body, xi)
-    payload = report.to_dict()
+    payload = _jsonable(report)
     payload["predicted_constant"] = predicted
     payload["constant_ratio"] = report.estimated_constant / predicted
     if config["format"] == "json":

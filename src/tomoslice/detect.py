@@ -172,22 +172,6 @@ class EllipsoidReport:
             raise ValueError("no body to reconstruct: the verdict was reject")
         return Ellipsoid(self.recovered_center, self.recovered_shape)
 
-    def to_dict(self):
-        return {
-            "e": self.e.tolist(),
-            "S": self.S.tolist(),
-            "linear_residual": self.linear_residual,
-            "quadratic_residual": self.quadratic_residual,
-            "recovered_center": None
-            if self.recovered_center is None
-            else self.recovered_center.tolist(),
-            "recovered_shape": None if self.recovered_shape is None else self.recovered_shape.tolist(),
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "num_directions": self.num_directions,
-            "seed": self.seed,
-        }
-
 
 def is_ellipsoid(body, tol=DEFAULT_TOL_EXACT, num_directions=DEFAULT_NUM_DIRECTIONS, seed=0):
     """Run both support-function stages and bundle the verdict.

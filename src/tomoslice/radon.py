@@ -155,19 +155,6 @@ class MomentReport:
     seed: int
     quad_order: int  # the exact order moment() used
 
-    def to_dict(self):
-        return {
-            "k": self.k,
-            "directions": self.directions.tolist(),
-            "moments": self.moments.tolist(),
-            "exponents": [list(e) for e in self.exponents],
-            "fit_coefficients": self.fit_coefficients.tolist(),
-            "relative_residual": self.relative_residual,
-            "absolute_residual": self.absolute_residual,
-            "seed": self.seed,
-            "quad_order": self.quad_order,
-        }
-
 
 def range_test(body, k, num_directions, seed=0):
     """Fit M_k over a direction sample by a homogeneous degree-k polynomial.

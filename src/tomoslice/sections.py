@@ -102,15 +102,6 @@ class SectionProfile:
     def __len__(self):
         return self.grid.size
 
-    def to_dict(self):
-        return {
-            "xi": self.xi.tolist(),
-            "n": self.n,
-            "method": "exact",
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-        }
-
 
 def _queries(xi, t, n):
     """The (m, n) stack of unit rows, the offsets as an (m, k) array whose row
@@ -434,7 +425,11 @@ def profile(body, xi, num_points=64, margin=0.02, window=None):
     geometry pass (as in ``chord_interval``), and the section engine and the
     profile reuse the checked direction.
     """
-    d = _one_direction(xi, body.n)
+    return _profile(body, _one_direction(xi, body.n), num_points, margin, window)
+
+
+def _profile(body, d, num_points, margin, window):
+    """``profile`` along a direction ``_one_direction`` has already returned."""
     _require_int("num_points", num_points, 16)
     if not 0.0 <= margin < 0.5:
         raise ValueError("margin must lie in [0, 0.5)")

@@ -135,8 +135,10 @@ def test_fit_report_evaluate_and_serialize():
     rep = fit_power_polynomial(prof, 1, 2)
     assert isinstance(rep, AlgebraicFitReport)
     idx = len(prof.grid) // 2
-    assert rep.evaluate(prof.grid[idx]) == pytest.approx(prof.values[idx], rel=1e-9)
-    d_ = rep.to_dict()
+    # the Chebyshev series in s, the offset rescaled from [t_lo, t_hi] to [-1, 1]
+    s = (2.0 * prof.grid[idx] - (rep.t_lo + rep.t_hi)) / (rep.t_hi - rep.t_lo)
+    assert chebyshev.chebval(s, rep.coefficients) == pytest.approx(prof.values[idx], rel=1e-9)
+    d_ = cli._jsonable(rep)
     assert d_["m"] == 1 and d_["degree"] == 2
 
 
@@ -668,6 +670,26 @@ def test_exponent_estimate_reads_its_direction_once(monkeypatch):
         reads.clear()
         exponent_estimate(body, d)
         assert reads == [(3,)], type(body).__name__
+
+
+def test_quadric_check_reads_its_direction_once(monkeypatch):
+    """``quadric_check`` checks its direction once; the entry offset and the
+    profile reuse it."""
+    reads = []
+    real_rows = bodies_module._direction_rows
+
+    def counting_rows(xi, n):
+        reads.append(np.shape(xi))
+        return real_rows(xi, n)
+
+    for module in (bodies_module, sections_module):
+        monkeypatch.setattr(module, "_direction_rows", counting_rows)
+    par = QuadricDomain("paraboloid", np.array([1.0, 0.7]))
+    d = np.array([0.2, -0.1, 0.9]) / np.linalg.norm([0.2, -0.1, 0.9])
+    for window in (None, (1.0, 3.0)):
+        reads.clear()
+        assert quadric_check(par, d, window=window)["verdict"] == "conforms"
+        assert reads == [(3,)]
 
 
 def test_exponent_estimate_unbounded_body():

@@ -34,6 +34,7 @@ from tomoslice.bodies import (
     support,
     unit_ball_volume,
 )
+from tomoslice.cli import _jsonable
 from tomoslice.detect import is_ellipsoid
 from tomoslice.radon import moment, range_test
 from tomoslice.sections import lobatto_grid, profile, section_volume, section_volume_mc
@@ -233,18 +234,12 @@ _ONE_DIRECTION_CALLS = {
 }
 
 
-def _plain(result):
-    """A result as plain Python values, so its repr shows every float exactly."""
-    if hasattr(result, "to_dict"):
-        return result.to_dict()
-    return result.tolist() if isinstance(result, np.ndarray) else result
-
-
 @pytest.mark.parametrize("name", _ONE_DIRECTION_CALLS)
 def test_a_unit_array_and_a_direction_give_identical_results(name):
     call = _ONE_DIRECTION_CALLS[name]
     v = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
-    assert repr(_plain(call(v))) == repr(_plain(call(Direction(v))))
+    # as the CLI writes them: every field of a report, every float exactly
+    assert repr(_jsonable(call(v))) == repr(_jsonable(call(Direction(v))))
 
 
 def test_ellipsoid_validation():

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tomoslice.bodies as bodies_module
+import tomoslice.sections as sections_module
 from tomoslice import cli
 from tomoslice.bodies import Ellipsoid, Polytope, QuadricDomain, random_ellipsoid, random_simplex, save_body
 
@@ -165,6 +167,77 @@ def test_quadric_check_explicit_window(body_dir):
     assert code == 0
     rep = json.loads(out.read_text())["report"]
     assert rep["window"] == [1.0, 3.0]
+
+
+# the sorted keys of each subcommand's JSON report: a report is its
+# dataclass's fields, so a field added to a report shows up here
+_PROFILE_KEYS = ["grid", "method", "n", "values", "xi"]
+_MOMENT_KEYS = [
+    "absolute_residual", "directions", "exponents", "fit_coefficients", "k", "moments",
+    "quad_order", "relative_residual", "seed",
+]
+_DETECT_KEYS = [
+    "S", "e", "linear_residual", "num_directions", "quadratic_residual", "recovered_center",
+    "recovered_shape", "seed", "tol", "verdict",
+]
+_FIT_KEYS = [
+    "coefficients", "degree", "degree_bound_ok", "effective_degree", "grid", "m", "n",
+    "power_samples", "relative_residual", "root_report", "t_hi", "t_lo", "xi",
+]
+_ROOT_KEYS = ["h_minus", "h_plus", "mismatch", "roots", "scale", "verdict"]
+_ASYMPTOTE_KEYS = [
+    "constant_ratio", "depths", "estimated_constant", "estimated_exponent", "num_points",
+    "predicted_constant", "t0", "values", "window", "xi",
+]
+
+
+def test_each_report_has_its_pinned_keys(body_dir):
+    out = body_dir / "keys.json"
+
+    def report(*args):
+        run_cli([*args, "--out", out])
+        return json.loads(out.read_text())
+
+    ell, xi = body_dir / "ell.json", "0.3,-0.2,0.9"
+    rep = report("profile", "--body", ell, "--xi", xi)
+    assert sorted(rep) == ["config", "profile"] and sorted(rep["profile"]) == _PROFILE_KEYS
+    rep = report("moments", "--body", ell, "--directions", "30")
+    assert sorted(rep) == ["config", "reports"]
+    assert [sorted(r) for r in rep["reports"]] == [_MOMENT_KEYS] * 3
+    rep = report("detect", "--body", ell)
+    assert sorted(rep) == ["config", "report"] and sorted(rep["report"]) == _DETECT_KEYS
+    rep = report("algfit", "--body", ell, "--xi", xi)
+    assert sorted(rep) == ["config", "sweep", "verdict", "winner"]
+    assert sorted(rep["winner"]) == _FIT_KEYS and sorted(rep["winner"]["root_report"]) == _ROOT_KEYS
+    rep = report("algfit", "--body", body_dir / "cube.json", "--xi", xi)
+    assert sorted(rep) == ["config", "sweep", "verdict", "winner"] and rep["winner"] is None
+    rep = report("asymptote", "--body", ell, "--xi", xi)
+    assert sorted(rep) == ["config", "report"] and sorted(rep["report"]) == _ASYMPTOTE_KEYS
+    rep = report("quadric-check", "--body", body_dir / "par.json", "--xi", "0,0,1")
+    assert sorted(rep) == ["config", "report"]
+    assert sorted(rep["report"]) == ["results", "verdict", "window"]
+    assert [sorted(r) for r in rep["report"]["results"]] == [
+        ["m", "min_degree", "relative_residual", "sufficient"]
+    ] * 2
+
+
+def test_algfit_reads_its_direction_once(body_dir, monkeypatch):
+    """``tomoslice algfit`` checks --xi once, in its profile; the chord of
+    the root structure reuses the profile's checked direction."""
+    reads = []
+    real_rows = bodies_module._direction_rows
+
+    def counting_rows(xi, n):
+        reads.append(np.shape(xi))
+        return real_rows(xi, n)
+
+    save_body(random_ellipsoid(4, seed=5), body_dir / "ell4.json")
+    out = body_dir / "alg4.json"
+    for module in (bodies_module, sections_module):
+        monkeypatch.setattr(module, "_direction_rows", counting_rows)
+    assert run_cli(["algfit", "--body", body_dir / "ell4.json", "--xi", "0.3,-0.2,0.9,0.1", "--out", out]) == 0
+    assert reads == [(4,)]
+    assert json.loads(out.read_text())["winner"]["root_report"]["verdict"] == "conforms"
 
 
 @pytest.mark.parametrize("command", ["algfit", "quadric-check"])
@@ -470,6 +543,42 @@ def test_installed_entry_point(body_dir):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["config"]["command"] == "profile"
+
+
+def test_code_lines_skips_docstrings_and_comments(monkeypatch, capsys, tmp_path):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import code_lines
+
+    source = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+
+
+def f(x):
+    """Docstring."""
+    "a bare string statement"
+    return math.sqrt(
+        x
+    ) + len("""a literal
+over two lines""")
+
+
+class C:
+    """Docstring."""
+
+    y = 1
+'''
+    # import, def, the four lines of the return, class, y = 1
+    assert code_lines.code_lines(source) == 8
+    (tmp_path / "a.py").write_text(source)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"8 {tmp_path / 'a.py'}", f"1 {tmp_path / 'b.py'}", "9 total"
+    ]
 
 
 def test_report_digests_repeat_on_a_two_body_subset(monkeypatch, capsys):

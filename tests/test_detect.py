@@ -154,7 +154,7 @@ def test_section_consistency_rejects_varying_constant():
 
 def test_report_serialization():
     rep = is_ellipsoid(random_ellipsoid(3, seed=9), seed=2)
-    d = rep.to_dict()
+    d = cli._jsonable(rep)
     assert d["verdict"] == "accept"
     assert len(d["recovered_center"]) == 3
     assert d["seed"] == 2

@@ -6,7 +6,7 @@ from scipy.spatial import ConvexHull
 from scipy.special import beta as beta_fn
 
 import tomoslice.radon as radon_module
-
+from tomoslice import cli
 from tomoslice.bodies import (
     Direction,
     Ellipsoid,
@@ -153,7 +153,7 @@ def test_range_test_needs_enough_directions():
 def test_moment_report_serialization():
     body = random_ellipsoid(3, seed=14)
     report = range_test(body, 2, num_directions=30, seed=9)
-    d = report.to_dict()
+    d = cli._jsonable(report)
     assert d["k"] == 2
     assert len(d["fit_coefficients"]) == 6
 
