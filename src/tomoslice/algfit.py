@@ -493,7 +493,12 @@ def principal_curvatures(body, xi):
     1 + 8 + 70 ``contains_points`` calls and no ``contains`` call (about 29
     on an ellipsoid).
     """
-    v = _one_direction(xi, body.n)
+    return _principal_curvatures(body, _one_direction(xi, body.n))
+
+
+def _principal_curvatures(body, v):
+    """``principal_curvatures`` along a direction ``_one_direction`` has
+    already returned."""
     x0 = body.argmax_support(v)
     U = _tangent_frame(v)
     k = U.shape[1]
@@ -527,6 +532,12 @@ def predicted_boundary_constant(body, xi):
     of such a slice is the unit-ball volume of dimension n-1 times
     (2*delta)^{(n-1)/2} / sqrt(prod kappa_j).
     """
-    kappa = principal_curvatures(body, xi)
+    return _predicted_constant(body, _one_direction(xi, body.n))
+
+
+def _predicted_constant(body, v):
+    """``predicted_boundary_constant`` along a direction ``_one_direction``
+    has already returned."""
+    kappa = _principal_curvatures(body, v)
     k = kappa.size
     return unit_ball_volume(k) * 2.0 ** (k / 2.0) / math.sqrt(float(np.prod(kappa)))

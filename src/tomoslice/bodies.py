@@ -230,13 +230,14 @@ class Ellipsoid:
             raise ValueError("shape matrix must be finite")
         if np.max(np.abs(M - M.T)) > _SYM_TOL:
             raise ValueError("shape matrix must be symmetric within 1e-12")
+        M = 0.5 * (M + M.T)
         try:
-            chol = np.linalg.cholesky(0.5 * (M + M.T))
+            chol = np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise ValueError("shape matrix must be positive definite") from exc
-        inv = np.linalg.inv(0.5 * (M + M.T))
+        inv = np.linalg.inv(M)
         object.__setattr__(self, "center", c.copy())
-        object.__setattr__(self, "shape", 0.5 * (M + M.T))
+        object.__setattr__(self, "shape", M)
         object.__setattr__(self, "_shape_inv", 0.5 * (inv + inv.T))
         # M = C C^T gives M^-1 = F F^T with F = C^-T, so v^T M^-1 v = |v F|^2
         # is a sum of squares

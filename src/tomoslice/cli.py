@@ -155,7 +155,8 @@ def _cmd_detect(body, xi, config):
 
 def _cmd_asymptote(body, xi, config):
     report = algfit.exponent_estimate(body, xi, window=(1e-4, 1e-3))
-    predicted = algfit.predicted_boundary_constant(body, xi)
+    # the curvature oracle along the direction exponent_estimate checked
+    predicted = algfit._predicted_constant(body, report.xi)
     payload = _jsonable(report)
     payload["predicted_constant"] = predicted
     payload["constant_ratio"] = report.estimated_constant / predicted

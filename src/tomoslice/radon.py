@@ -7,7 +7,10 @@ quadrature and tests that polynomial structure by least squares over a
 direction sample; the residual is the diagnostic quantity.
 
 Moments of any order k >= 0 come out exact up to roundoff: each rule gets
-the fewest nodes that integrate A(xi, t) t^k exactly.  ``moment``
+the fewest nodes that integrate A(xi, t) t^k exactly.  The Gauss-Legendre
+and Gauss-Jacobi rules are built here in numpy (``_gauss_rule``, Golub-Welsch
+on the Gegenbauer Jacobi matrix), so importing the package loads no scipy
+module.  ``moment``
 takes one direction or an (m, n) stack of unit rows, like the section
 engines, and evaluates the nodes of every row in a single section_volume
 call; a range test is therefore one engine call over its whole direction
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .bodies import (
     Ellipsoid,
@@ -60,6 +62,22 @@ def _exact_quad_order(body, k):
     if isinstance(body, Polytope):
         return (body.n + k + 1) // 2
     return k // 2 + 1
+
+
+def _gauss_rule(order, alpha):
+    """Nodes and weights of the ``order``-point Gauss rule for the weight
+    (1 - s^2)^alpha on [-1, 1]; alpha = 0 is Gauss-Legendre.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the Gegenbauer polynomials, and each weight is mu_0
+    times the squared first component of its unit eigenvector, with mu_0 the
+    integral of the weight.  ``eigh`` reads only the lower triangle.
+    """
+    k = np.arange(1, order)
+    off = np.sqrt(k * (k + 2.0 * alpha) / (4.0 * (k + alpha) ** 2 - 1.0))
+    s, V = np.linalg.eigh(np.diag(off, -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(alpha + 1.0) / math.gamma(alpha + 1.5)
+    return s, mu0 * V[0] ** 2
 
 
 def moment(target, xi, k):
@@ -101,13 +119,13 @@ def moment(target, xi, k):
     quad_order = _exact_quad_order(target, k)
     if isinstance(target, Ellipsoid):
         alpha = (target.n - 1) / 2.0
-        s, w = roots_jacobi(quad_order, alpha, alpha)
+        s, w = _gauss_rule(quad_order, alpha)
         mid, hbar = target._chord(D)
         hbar = hbar[:, None]
         nodes = mid[:, None] + hbar * s
         weights = w * hbar / (1.0 - s**2) ** alpha
     else:
-        s, w = roots_legendre(quad_order)
+        s, w = _gauss_rule(quad_order, 0.0)
         tau = np.sort(target._heights(D), axis=1)[..., None]
         half = 0.5 * (tau[:, 1:] - tau[:, :-1])
         nodes = (0.5 * (tau[:, :-1] + tau[:, 1:]) + half * s).reshape(len(D), -1)

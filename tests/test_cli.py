@@ -240,6 +240,26 @@ def test_algfit_reads_its_direction_once(body_dir, monkeypatch):
     assert json.loads(out.read_text())["winner"]["root_report"]["verdict"] == "conforms"
 
 
+def test_asymptote_reads_its_direction_once(body_dir, monkeypatch):
+    """``tomoslice asymptote`` checks --xi once, in ``exponent_estimate``;
+    the curvature oracle reuses the report's checked direction."""
+    reads = []
+    real_rows = bodies_module._direction_rows
+
+    def counting_rows(xi, n):
+        reads.append(np.shape(xi))
+        return real_rows(xi, n)
+
+    for module in (bodies_module, sections_module):
+        monkeypatch.setattr(module, "_direction_rows", counting_rows)
+    for name, xi in (("ell.json", "0.3,-0.5,0.8"), ("par.json", "0.2,0.1,-0.9")):
+        reads.clear()
+        out = body_dir / f"asy_{name}"
+        assert run_cli(["asymptote", "--body", body_dir / name, "--xi", xi, "--out", out]) == 0
+        assert reads == [(3,)], name
+        assert json.loads(out.read_text())["report"]["constant_ratio"] == pytest.approx(1.0, abs=0.05)
+
+
 @pytest.mark.parametrize("command", ["algfit", "quadric-check"])
 @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
 def test_bad_tol_is_an_error(body_dir, capsys, command, tol):
@@ -579,6 +599,23 @@ class C:
     assert capsys.readouterr().out.splitlines() == [
         f"8 {tmp_path / 'a.py'}", f"1 {tmp_path / 'b.py'}", "9 total"
     ]
+
+
+def test_cli_wall_runs_every_case_in_a_fresh_interpreter(monkeypatch, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    import cli_wall
+
+    runs = cli_wall.cases(tmp_path)
+    assert runs["import"] == ["-c", "import tomoslice"]
+    assert runs["quadric-asymptote"][:4] == ["-m", "tomoslice", "asymptote", "--body"]
+    # every body spec and option set is accepted: timed_run raises unless
+    # the run exits 0 or 2
+    for argv in runs.values():
+        elapsed, code = cli_wall.timed_run(root, argv, tmp_path)
+        assert elapsed > 0.0 and code in (0, 2)
+    with pytest.raises(RuntimeError, match="exited 1"):
+        cli_wall.timed_run(root, ["-c", "raise SystemExit(1)"], tmp_path)
 
 
 def test_report_digests_repeat_on_a_two_body_subset(monkeypatch, capsys):

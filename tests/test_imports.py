@@ -2,6 +2,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tomoslice
@@ -173,6 +176,21 @@ EXPORTS = {
     "section_volume_mc",
     "support",
 }
+
+
+def test_importing_the_package_loads_no_scipy():
+    """scipy is needed only for polytope hulls, which import it on first use;
+    a bare ``import tomoslice`` loads no ``scipy`` module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import tomoslice\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_the_package_exports_only_the_listed_names():

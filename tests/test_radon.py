@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
-from scipy.special import beta as beta_fn
+from scipy.special import beta as beta_fn, roots_jacobi, roots_legendre
 
 import tomoslice.radon as radon_module
 from tomoslice import cli
@@ -221,6 +221,34 @@ def test_polytope_moments_match_simplex_formula():
             # odd moments of centered bodies vanish; judge them on the body's scale
             scale = max(abs(want), volume * heights.max() ** k)
             assert abs(got - want) <= 1e-12 * scale, (body.vertices.tolist(), d, k, got, want)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_gauss_rule_integrates_the_weighted_monomials_exactly(alpha):
+    """The q-point rule for the weight (1 - s^2)^alpha is exact for s^j,
+    j <= 2q - 1.  The integral of |s|^j against the weight is
+    B((j+1)/2, alpha+1): the exact value for even j, and the scale of the
+    error for odd j, whose exact value is 0.  Measured worst error: 7.5e-15
+    of that scale (q = 1..8)."""
+    for q in range(1, 9):
+        s, w = radon_module._gauss_rule(q, alpha)
+        assert s.shape == w.shape == (q,)
+        for j in range(2 * q):
+            scale = beta_fn((j + 1) / 2.0, alpha + 1.0)
+            want = scale if j % 2 == 0 else 0.0
+            assert abs(w @ s**j - want) <= 2e-14 * scale, (q, alpha, j)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_gauss_rule_agrees_with_scipy(alpha):
+    """scipy's rules are the reference (``roots_legendre`` for alpha = 0,
+    ``roots_jacobi`` otherwise): nodes and weights agree to 2e-14 for orders
+    1..15 (measured: 5.8e-15)."""
+    for q in range(1, 16):
+        s, w = radon_module._gauss_rule(q, alpha)
+        want_s, want_w = roots_jacobi(q, alpha, alpha) if alpha else roots_legendre(q)
+        assert np.abs(s - want_s).max() <= 2e-14, (q, alpha)
+        assert np.abs(w - want_w).max() <= 2e-14 * want_w.max(), (q, alpha)
 
 
 def test_generic_cube_moment_makes_one_section_call(monkeypatch):
